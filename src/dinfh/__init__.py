@@ -14,7 +14,23 @@ Subpackages:
 * :mod:`dinfh.cli`      - batch front end and report generation.
 """
 
-from .config import DEFAULT_SEED, RunConfig
+import os
+
+from .config import DEFAULT_SEED, RunConfig, thread_cap
+
+# SPECTRA_THREADS caps the BLAS/LAPACK pools; it must reach the environment
+# before the first numpy import (config imports none), and variables that
+# are already set win
+_cap = thread_cap()
+if _cap is not None:
+    for _var in (
+        "OMP_NUM_THREADS",
+        "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "NUMEXPR_NUM_THREADS",
+    ):
+        os.environ.setdefault(_var, str(_cap))
+
 from .group import FunctionalKind
 from .spectrum import MembershipResult, PencilPoint, membership
 

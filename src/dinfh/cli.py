@@ -10,19 +10,6 @@ computation error (rendered as structured JSON on stderr).
 
 from __future__ import annotations
 
-import os
-
-# honor the worker cap before numpy wires up its BLAS pools
-_cap = os.environ.get("SPECTRA_THREADS")
-if _cap:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(_var, _cap)
-
 import argparse
 import json
 import sys

@@ -34,7 +34,10 @@ def thread_cap() -> int | None:
     raw = os.environ.get("SPECTRA_THREADS")
     if not raw:
         return None
-    n = int(raw)
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
     if n < 1:
         raise ValueError("SPECTRA_THREADS must be a positive integer")
     return n

@@ -42,3 +42,7 @@ class SingularTruncation(DinfhError):
 
 class LevelTooLarge(DinfhError):
     """Raised when a tree level exceeds the desk-scale cap."""
+
+
+class TruncationTooLarge(DinfhError):
+    """Raised when a dense truncation size exceeds MAX_DENSE_N."""

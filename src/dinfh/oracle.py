@@ -10,18 +10,18 @@ The left regular pencil is unitarily equivalent to the 4x4 operator matrix
 with T the bilateral shift (T' its adjoint).  Replacing T by the N-cyclic
 shift gives a 4N x 4N matrix whose blocks are all circulant, hence
 simultaneously diagonalized by the DFT: the truncation is *exactly* the
-direct sum of the 4x4 symbol matrices M(theta_k) at the N-th roots of
-unity.  Consequently
+direct sum of the symbols M(theta_k) at the N-th roots of unity.  As tau
+is central and an involution, M(theta) = diag(B+, B-) in the basis
+e +- tau, with B+- = [[z0 +- z3, w], [wbar, z0 +- z3]], det B+- = G+-,
+w = z1*exp(i*theta) + z2 and wbar = z1*exp(-i*theta) + z2.  Consequently
+the truncation's singular values are those of the 2N blocks, and
+normalized traces of (pencil^-1 * word) are the N-node trapezoid rule of
+closed-form rational functions of G+- (the *true* trace integrands).
 
-* its singular values are the union of the symbol singular values, and
-* normalized traces of (pencil^-1 * word) equal the plain average of the
-  pointwise symbol functional over theta_k, i.e. the N-node trapezoid rule
-  of the *true* trace integrand.
-
-This makes the truncation a boundary-effect-free oracle: membership
-margins, all trace formulas, and loop periods are adjudicated against it.
-Dense LU is used for the trace paths; the batched-symbol fast path (same
-matrix data after the DFT) serves the large membership sweeps.
+The dense route (assembled matrix, LU, slogdet; N <= MAX_DENSE_N) is the
+boundary-effect-free adjudicator of membership margins, trace formulas
+and loop periods; the tau-parity 2x2 split is the fast path that serves
+the membership sweeps, quadratures and loop coefficients.
 """
 
 from __future__ import annotations
@@ -32,14 +32,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import BranchJump, LoopHitsSpectrum, NonConvergent, SingularTruncation
+from .errors import BranchJump, LoopHitsSpectrum, NonConvergent, OnSpectrum
+from .errors import SingularTruncation, TruncationTooLarge
 from .group import FunctionalKind
 from .loops import LoopPath
-from .spectrum import PencilPoint, as_point, membership_grid
+from .spectrum import PencilPoint, as_point
 
 WORDS = ("e", "a", "t", "tau")
 
 LU_PIVOT_TOL = 1e-12
+# the dense truncation stores a (4N)^2 complex matrix and its inverse
+MAX_DENSE_N = 1024
 
 # anti-diagonal block positions picked out by the twisted functional
 _PHI_BLOCKS = ((0, 2), (1, 3), (2, 0), (3, 1))
@@ -81,13 +84,6 @@ def word_permutation(word: str, N: int) -> np.ndarray:
     return sigma
 
 
-def word_matrix(word: str, N: int) -> np.ndarray:
-    sigma = word_permutation(word, N)
-    W = np.zeros((4 * N, 4 * N), dtype=complex)
-    W[sigma, np.arange(4 * N)] = 1.0
-    return W
-
-
 @dataclass
 class CirculantPencil:
     """Dense 4N x 4N truncation with a cached LU factorization."""
@@ -120,9 +116,11 @@ class CirculantPencil:
 
 
 def pencil_matrix(z, N: int) -> CirculantPencil:
-    """Assemble the truncation; O(N) nonzeros."""
+    """Assemble the truncation (O(N) nonzeros, N <= MAX_DENSE_N)."""
     if N < 2:
         raise ValueError("truncation size N must be at least 2")
+    if N > MAX_DENSE_N:
+        raise TruncationTooLarge(f"dense truncation N={N} exceeds {MAX_DENSE_N}")
     z = as_point(z)
     coeffs = dict(zip(WORDS, z))
     mat = np.zeros((4 * N, 4 * N), dtype=complex)
@@ -142,7 +140,7 @@ def _as_pencil(z_or_pencil, N: int | None) -> CirculantPencil:
 
 
 # ---------------------------------------------------------------------------
-# 4x4 symbol machinery (the DFT-diagonalized truncation)
+# the symbol and its tau-parity split (the DFT-diagonalized truncation)
 
 
 def fft_angles(N: int) -> np.ndarray:
@@ -150,76 +148,76 @@ def fft_angles(N: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(N) / N
 
 
-def word_symbol(word: str, thetas) -> np.ndarray:
-    """Symbol of a word at angles theta: shape (len(thetas), 4, 4)."""
-    th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    W = np.zeros((len(th), 4, 4), dtype=complex)
-    if word == "e":
-        W[:, range(4), range(4)] = 1.0
-    elif word == "a":
-        up = np.exp(1j * th)
-        W[:, 0, 1] = up
-        W[:, 2, 3] = up
-        W[:, 1, 0] = np.conj(up)
-        W[:, 3, 2] = np.conj(up)
-    elif word == "t":
-        for i, j in ((0, 1), (1, 0), (2, 3), (3, 2)):
-            W[:, i, j] = 1.0
-    elif word == "tau":
-        for i, j in _PHI_BLOCKS:
-            W[:, i, j] = 1.0
-    else:
-        raise ValueError(f"unknown word {word!r}")
-    return W
-
-
 def pencil_symbol(Z, thetas) -> np.ndarray:
-    """Symbol matrices M(theta) for points Z of shape (..., 4).
+    """Full 4x4 symbols M(theta) for points Z of shape (..., 4).
 
-    Returns shape (..., len(thetas), 4, 4); the entry pattern mirrors the
-    dense block layout with T replaced by exp(i*theta).
+    Returns shape (..., len(thetas), 4, 4): the dense block layout with T
+    replaced by exp(i*theta).  The fast path uses ``parity_blocks`` instead.
+    """
+    Z = np.asarray(Z, dtype=complex)
+    _, _, w, wbar = parity_blocks(Z, thetas)
+    M = np.zeros(w.shape + (4, 4), dtype=complex)
+    for i in range(4):
+        M[..., i, i] = Z[..., 0, None]
+    M[..., 0, 1] = M[..., 2, 3] = w
+    M[..., 1, 0] = M[..., 3, 2] = wbar
+    for i, j in _PHI_BLOCKS:
+        M[..., i, j] = Z[..., 3, None]
+    return M
+
+
+def parity_blocks(Z, thetas):
+    """Tau-parity blocks B+- of M(theta) for points Z of shape (..., 4).
+
+    Returns (z0 + z3, z0 - z3, w, wbar): the block diagonals of shape
+    (..., 1) and the off-diagonals of shape (..., len(thetas)).
     """
     Z = np.asarray(Z, dtype=complex)
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
     z0, z1, z2, z3 = (Z[..., i, None] for i in range(4))
     up = np.exp(1j * th)
-    w = z1 * up + z2
-    wbar = z1 * np.conj(up) + z2
-    M = np.zeros(Z.shape[:-1] + (len(th), 4, 4), dtype=complex)
-    for i in range(4):
-        M[..., i, i] = z0
-    M[..., 0, 1] = w
-    M[..., 2, 3] = w
-    M[..., 1, 0] = wbar
-    M[..., 3, 2] = wbar
-    for i, j in _PHI_BLOCKS:
-        M[..., i, j] = z3
-    return M
+    return z0 + z3, z0 - z3, z1 * up + z2, z1 * np.conj(up) + z2
 
 
-def apply_functional(X: np.ndarray, functional) -> np.ndarray:
-    """Evaluate Tr or the twisted functional on stacked 4x4 matrices."""
+def word_integrands(Z, functional, thetas) -> tuple:
+    """Trace integrands of the words e, a, t, tau (in WORDS order).
+
+    With T+- the trace over block +-: T(e) = 2*(z0 +- z3)/G+-,
+    T(a) = -2*(z1 + z2*cos)/G+-, T(t) = -2*(z1*cos + z2)/G+-, tau flips
+    the sign of B-; Tr = (T+ + T-)/4 and phi~ = -T-/2.  Each array has
+    shape (..., len(thetas)); a singular block raises OnSpectrum.
+    """
     kind = FunctionalKind.coerce(functional)
-    diag = X[..., 0, 0] + X[..., 1, 1] + X[..., 2, 2] + X[..., 3, 3]
+    Z = np.asarray(Z, dtype=complex)
+    th = np.atleast_1d(np.asarray(thetas, dtype=float))
+    dp, dm, w, wbar = parity_blocks(Z, th)
+    ww = w * wbar
+    gp, gm = dp * dp - ww, dm * dm - ww
+    if not (gp.all() and gm.all()):
+        raise OnSpectrum("a symbol block is singular at a node")
+    c = np.cos(th)
+    z1, z2 = Z[..., 1, None], Z[..., 2, None]
+    pa, pt = z1 + z2 * c, z1 * c + z2
     if kind is FunctionalKind.CANONICAL_TRACE:
-        return 0.25 * diag
-    anti = X[..., 0, 2] + X[..., 1, 3] + X[..., 2, 0] + X[..., 3, 1]
-    return 0.25 * (anti - diag)
+        ep, em = dp / gp, dm / gm
+        r = 1.0 / gp + 1.0 / gm
+        return 0.5 * (ep + em), -0.5 * pa * r, -0.5 * pt * r, 0.5 * (ep - em)
+    rm = 1.0 / gm
+    return -dm * rm, pa * rm, pt * rm, dm * rm
 
 
 def symbol_integrand(z, word: str, functional, thetas) -> np.ndarray:
-    """Pointwise trace integrand defined by the pencil symbol.
+    """Pointwise trace integrand of one word defined by the pencil symbol.
 
     This is the exact content of the circulant oracle at one angle:
     averaging it over the N-th roots of unity reproduces oracle_trace /
     oracle_phitr identically.  It is the adjudicated integrand used by the
     quadratures (the tabulated closed forms live in ``traces``).
     """
+    if word not in WORDS:
+        raise ValueError(f"unknown word {word!r}")
     z = as_point(z)
-    M = pencil_symbol(z.as_array(), thetas)
-    W = word_symbol(word, thetas)
-    X = np.linalg.solve(M, W)
-    return apply_functional(X, functional)
+    return word_integrands(z.as_array(), functional, thetas)[WORDS.index(word)]
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +228,8 @@ def membership_margin(z, N: int, method: str = "symbol") -> float:
     """Smallest singular value of the size-N truncation.
 
     ``method="dense"`` computes it from the assembled matrix;
-    ``method="symbol"`` from the DFT block diagonalization (identical up
-    to roundoff, O(N) instead of O(N^3)).
+    ``method="symbol"`` from the tau-parity blocks (identical up to
+    roundoff, O(N) instead of O(N^3)).
     """
     if method == "dense":
         pencil = _as_pencil(z, N)
@@ -242,12 +240,27 @@ def membership_margin(z, N: int, method: str = "symbol") -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
+def _block_sigma_min(d, w, wbar, hermitian: bool) -> np.ndarray:
+    """Smallest singular value of [[d, w], [wbar, d]], elementwise."""
+    if hermitian:
+        # real point: wbar = conj(w), eigenvalues d +- |w|
+        return np.abs(np.abs(d.real) - np.abs(w))
+    # sigma_max^2 is the larger eigenvalue of B^H B, whose discriminant is a
+    # sum of squares (no cancellation); sigma_min = |det B| / sigma_max, and
+    # a zero block has margin 0, not 0/0
+    aw, av = np.abs(w) ** 2, np.abs(wbar) ** 2
+    disc = np.hypot(aw - av, 2.0 * np.abs(np.conj(d) * w + d * np.conj(wbar)))
+    smax = np.sqrt(0.5 * (2.0 * np.abs(d) ** 2 + aw + av + disc))
+    det = np.abs(d * d - w * wbar)
+    return np.divide(det, smax, out=np.zeros_like(det), where=smax > 0)
+
+
 def margin_grid(points: np.ndarray, N: int, chunk: int = 512) -> np.ndarray:
     """Batched truncation margins for an (n, 4) array of pencil points.
 
-    Real inputs use Hermitian eigenvalues of the symbol blocks (the dense
-    truncation is then symmetric); complex inputs fall back to singular
-    values.
+    The truncation's singular values are those of the 2N parity blocks;
+    real inputs give Hermitian blocks (eigenvalues z0 +- z3 +- |w|),
+    complex inputs use the 2x2 closed form |det| / sigma_max.
     """
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 2 or pts.shape[1] != 4:
@@ -256,13 +269,9 @@ def margin_grid(points: np.ndarray, N: int, chunk: int = 512) -> np.ndarray:
     th = fft_angles(N)
     out = np.empty(len(pts))
     for lo in range(0, len(pts), chunk):
-        hi = min(lo + chunk, len(pts))
-        M = pencil_symbol(pts[lo:hi], th)
-        if hermitian:
-            sv = np.abs(np.linalg.eigvalsh(M))
-        else:
-            sv = np.linalg.svd(M, compute_uv=False)
-        out[lo:hi] = sv.reshape(hi - lo, -1).min(axis=1)
+        dp, dm, w, wbar = parity_blocks(pts[lo : lo + chunk], th)
+        sv = [_block_sigma_min(d, w, wbar, hermitian).min(axis=1) for d in (dp, dm)]
+        out[lo : lo + chunk] = np.minimum(*sv)
     return out
 
 
@@ -315,14 +324,6 @@ def oracle_functional(z_or_pencil, word: str, functional, N: int | None = None) 
 def richardson(coarse: complex, fine: complex) -> complex:
     """One trapezoid-refinement step: fine + (fine - coarse)/3."""
     return fine + (fine - coarse) / 3.0
-
-
-def oracle_functional_extrapolated(z, word: str, functional, N: int) -> complex:
-    """Richardson-extrapolated oracle value from sizes N and 2N."""
-    return richardson(
-        oracle_functional(z, word, functional, N),
-        oracle_functional(z, word, functional, 2 * N),
-    )
 
 
 # ---------------------------------------------------------------------------

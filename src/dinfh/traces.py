@@ -5,9 +5,10 @@ is an integral  (1/2pi) int_0^{2pi} f(theta) dtheta  of a trace integrand.
 Two evaluation routes are provided:
 
 * ``formula="symbol"`` (default): the pointwise symbol route from
-  :mod:`dinfh.oracle` - solve the 4x4 symbol and apply the functional.
-  Averaged over the N-th roots of unity this is *identical* to the finite
-  circulant oracle, which is what adjudicates every formula here.
+  :mod:`dinfh.oracle` - closed-form rational functions of G^+- from the
+  tau-parity 2x2 split of the symbol.  Averaged over the N-th roots of
+  unity this is *identical* to the finite circulant oracle, which is what
+  adjudicates every formula here.
 
 * ``formula="tabulated"``: a table of closed-form integrands retained
   verbatim for auditing.  Most entries agree with the symbol route; the
@@ -34,10 +35,10 @@ from typing import List, Sequence
 import numpy as np
 
 from . import oracle
-from .errors import LoopHitsSpectrum, NonConvergent, NotDegenerate, OnSpectrum
+from .errors import BranchJump, LoopHitsSpectrum, NonConvergent, NotDegenerate, OnSpectrum
 from .group import FunctionalKind
 from .loops import LoopPath
-from .oracle import WORDS, richardson, symbol_integrand
+from .oracle import WORDS, fft_angles, richardson, symbol_integrand
 from .spectrum import PencilPoint, as_point, membership_grid, pencil_scale
 
 SINGULAR_TOL = 1e-12
@@ -166,12 +167,8 @@ def integrand_phitr(z, word: str, theta):
     return val if np.ndim(theta) else complex(val)
 
 
-def _theta_nodes(n: int) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(n) / n
-
-
 def _mean_integrand(req: TraceRequest, n: int, formula: str) -> complex:
-    thetas = _theta_nodes(n)
+    thetas = fft_angles(n)
     z = req.z
     _, _, _, gm, gp = _parts(z, thetas)
     _require_offspectrum(z, (gm, gp), "trace_quadrature")
@@ -262,15 +259,14 @@ def potential_tr(z, n_nodes: int = 256, max_nodes: int = MAX_UNWRAP_NODES) -> co
 
     The gradient of this potential reproduces the four canonical-trace
     coefficients (exactness of the trace of the resolvent 1-form).
+    NonConvergent is raised if two grids still differ by more than 1e-12
+    at ``max_nodes``.
     """
-    from .errors import BranchJump
-
     z = as_point(z)
     n = max(4, n_nodes)
     prev = None
     while True:
-        thetas = _theta_nodes(n)
-        _, _, _, gm, gp = _parts(z, thetas)
+        _, _, _, gm, gp = _parts(z, fft_angles(n))
         _require_offspectrum(z, (gm, gp), "potential_tr")
         try:
             cur = 0.25 * _unwrapped_log_mean(gm * gp)
@@ -282,7 +278,7 @@ def potential_tr(z, n_nodes: int = 256, max_nodes: int = MAX_UNWRAP_NODES) -> co
         if prev is not None and abs(cur - prev) <= 1e-12:
             return cur
         if n >= max_nodes:
-            return cur
+            raise NonConvergent(f"potential not settled to 1e-12 at {n} nodes")
         prev = cur
         n *= 2
 
@@ -350,16 +346,10 @@ class PeriodReport:
 
 
 def _coefficient_batch(Z: np.ndarray, functional, n: int) -> np.ndarray:
-    """All four 1-form coefficients at every sample, one batched solve."""
-    thetas = _theta_nodes(n)
-    M = oracle.pencil_symbol(Z, thetas)  # (m, n, 4, 4)
-    Minv = np.linalg.inv(M)
-    out = np.empty((len(Z), 4), dtype=complex)
-    for iw, word in enumerate(WORDS):
-        W = oracle.word_symbol(word, thetas)
-        X = Minv @ W
-        out[:, iw] = oracle.apply_functional(X, functional).mean(axis=1)
-    return out
+    """All four 1-form coefficients at every sample: n-node trapezoid
+    means of the split integrands, shape (len(Z), 4)."""
+    vals = oracle.word_integrands(Z, functional, fft_angles(n))
+    return np.stack([v.mean(axis=-1) for v in vals], axis=-1)
 
 
 def loop_coefficients(
@@ -369,14 +359,21 @@ def loop_coefficients(
     target: float = 1e-9,
     max_nodes: int = 4096,
 ) -> np.ndarray:
-    """Adaptive batched coefficients along loop samples."""
+    """Adaptive batched coefficients along loop samples.
+
+    Nodes double until two grids agree to ``target`` at every sample;
+    NonConvergent is raised once the grid reaches ``max_nodes`` without.
+    """
     n = n_nodes
     prev = _coefficient_batch(Z, functional, n)
     while True:
         n *= 2
         cur = _coefficient_batch(Z, functional, n)
-        if np.abs(cur - prev).max() <= target or n >= max_nodes:
+        change = np.abs(cur - prev).max()
+        if change <= target:
             return cur
+        if n >= max_nodes:
+            raise NonConvergent(f"loop coefficients changed by {change:.3e} at {n} nodes")
         prev = cur
 
 

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dinfh
 from dinfh.cli import main
 
 
@@ -59,6 +64,14 @@ class TestTraceCommand:
         code, out, err = run_cli(capsys, "trace", "--z", "1", "1", "0", "0")
         assert code == 2
         assert json.loads(err)["error"] == "OnSpectrum"
+
+    def test_dense_size_cap(self, capsys):
+        code, out, err = run_cli(
+            capsys, "trace", "--z", "1", "8", "4", "2", "--method", "oracle", "--N", "1025"
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "TruncationTooLarge"
 
 
 class TestPeriodCommand:
@@ -185,3 +198,33 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["membership", "--z", "1", "2", "3", "nope"])
         assert exc.value.code == 1
+
+
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def run_fresh_python(code, spectra_threads):
+    """Run code in a new interpreter with only SPECTRA_THREADS set."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["SPECTRA_THREADS"] = spectra_threads
+    src = str(Path(dinfh.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestThreadCap:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_cap_applies_before_numpy_loads(self):
+        proc = run_fresh_python(
+            "import os, dinfh.cli; print(len(os.listdir('/proc/self/task')))", "1"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1"
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_invalid_cap_rejected(self, value):
+        proc = run_fresh_python("import dinfh", value)
+        assert proc.returncode != 0
+        assert "SPECTRA_THREADS must be a positive integer" in proc.stderr

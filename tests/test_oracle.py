@@ -4,25 +4,75 @@ import numpy as np
 import pytest
 
 from dinfh import loops
-from dinfh.errors import LoopHitsSpectrum, SingularTruncation
+from dinfh.errors import (
+    LoopHitsSpectrum,
+    OnSpectrum,
+    SingularTruncation,
+    TruncationTooLarge,
+)
 from dinfh.group import FunctionalKind
 from dinfh.oracle import (
+    MAX_DENSE_N,
     WORDS,
     fft_angles,
     margin_grid,
     membership_margin,
-    oracle_functional_extrapolated,
     oracle_period,
     oracle_phitr,
     oracle_trace,
     pencil_matrix,
     pencil_symbol,
+    richardson,
     symbol_integrand,
-    word_matrix,
+    word_integrands,
     word_permutation,
 )
 
 P = (1.0, 8.0, 4.0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# test-side references: dense word matrices and the full 4x4 symbol route
+
+
+def word_matrix(word, N):
+    sigma = word_permutation(word, N)
+    W = np.zeros((4 * N, 4 * N), dtype=complex)
+    W[sigma, np.arange(4 * N)] = 1.0
+    return W
+
+
+def word_symbol(word, thetas):
+    """Symbol of a word at angles theta: shape (len(thetas), 4, 4)."""
+    th = np.atleast_1d(np.asarray(thetas, dtype=float))
+    W = np.zeros((len(th), 4, 4), dtype=complex)
+    if word == "e":
+        W[:, range(4), range(4)] = 1.0
+    elif word == "a":
+        up = np.exp(1j * th)
+        W[:, 0, 1] = W[:, 2, 3] = up
+        W[:, 1, 0] = W[:, 3, 2] = np.conj(up)
+    elif word == "t":
+        for i, j in ((0, 1), (1, 0), (2, 3), (3, 2)):
+            W[:, i, j] = 1.0
+    elif word == "tau":
+        for i, j in ((0, 2), (1, 3), (2, 0), (3, 1)):
+            W[:, i, j] = 1.0
+    return W
+
+
+def apply_functional(X, functional):
+    """Tr or the twisted functional on stacked 4x4 matrices."""
+    diag = X[..., 0, 0] + X[..., 1, 1] + X[..., 2, 2] + X[..., 3, 3]
+    if FunctionalKind.coerce(functional) is FunctionalKind.CANONICAL_TRACE:
+        return 0.25 * diag
+    anti = X[..., 0, 2] + X[..., 1, 3] + X[..., 2, 0] + X[..., 3, 1]
+    return 0.25 * (anti - diag)
+
+
+def reference_integrand(z, word, functional, thetas):
+    X = np.linalg.solve(pencil_symbol(z, thetas), word_symbol(word, thetas))
+    return apply_functional(X, functional)
 
 
 def random_offspectrum_points(rng, count, require_margin=0.05):
@@ -126,6 +176,12 @@ class TestOracleTraces:
         with pytest.raises(SingularTruncation):
             oracle_trace((1, 1, 0, 0), "e", 8)
 
+    def test_dense_size_cap(self):
+        # raised before the (4N)^2 matrix is allocated
+        assert MAX_DENSE_N == 1024
+        with pytest.raises(TruncationTooLarge):
+            pencil_matrix(P, 1025)
+
     def test_oracle_is_trapezoid_of_symbol(self, rng):
         # the truncation is exactly the theta-sampled symbol: the oracle
         # value must equal the plain average of the pointwise integrand
@@ -157,7 +213,7 @@ class TestOracleTraces:
     def test_richardson_extrapolation_refines(self):
         z = (2.503, 1.0, 1.0, 0.5)
         coarse = oracle_trace(z, "e", 96)
-        refined = oracle_functional_extrapolated(z, "e", "tr", 96)
+        refined = richardson(oracle_trace(z, "e", 96), oracle_trace(z, "e", 192))
         truth = oracle_trace(z, "e", 512)  # error ~1e-12 per the decay test
         assert abs(refined - truth) < abs(coarse - truth)
 
@@ -201,3 +257,93 @@ class TestOraclePeriods:
         bad = loops.circle_loop([1.0, 0, 0, 1.5], 0.5, ["z0"], name="bad")
         with pytest.raises(LoopHitsSpectrum):
             oracle_period(bad, "tr", N=8, steps=64)
+
+
+# grid angles and off-grid angles
+THETAS = np.concatenate([fft_angles(16), [0.3, 1.7, 2.9]])
+
+
+def split_test_points(rng, count):
+    """Seeded complex points well off the spectrum (by the 4x4 reference),
+    cycling through z0 = z3, z0 = -z3, z1 = 0 and z2 = 0."""
+    pts = []
+    while len(pts) < count:
+        z = rng.uniform(-2, 2, 4) + 1j * rng.uniform(-1, 1, 4)
+        case = len(pts) % 5
+        if case in (1, 2):
+            z[3] = z[0] if case == 1 else -z[0]
+        elif case in (3, 4):
+            z[case - 2] = 0.0
+        sv = np.linalg.svd(pencil_symbol(z, THETAS), compute_uv=False)
+        if sv.min() > 0.05:
+            pts.append(z)
+    return np.array(pts)
+
+
+def reference_margins(pts, N, hermitian):
+    M = pencil_symbol(pts, fft_angles(N))
+    if hermitian:
+        sv = np.abs(np.linalg.eigvalsh(M))
+    else:
+        sv = np.linalg.svd(M, compute_uv=False)
+    return sv.reshape(len(pts), -1).min(axis=1)
+
+
+class TestParitySplit:
+    def test_integrands_match_4x4_solve(self, rng):
+        for z in split_test_points(rng, 20):
+            for word in WORDS:
+                for kind in FunctionalKind:
+                    fast = symbol_integrand(z, word, kind, THETAS)
+                    ref = reference_integrand(z, word, kind, THETAS)
+                    # relative, or absolute where the integrand vanishes
+                    scale = max(np.abs(ref).max(), 1.0)
+                    assert np.abs(fast - ref).max() <= 1e-10 * scale
+
+    def test_batched_integrands_match_pointwise(self, rng):
+        pts = split_test_points(rng, 6)
+        for kind in FunctionalKind:
+            batch = word_integrands(pts, kind, THETAS)
+            for iw, word in enumerate(WORDS):
+                assert batch[iw].shape == (len(pts), len(THETAS))
+                for k, z in enumerate(pts):
+                    assert np.array_equal(
+                        batch[iw][k], symbol_integrand(z, word, kind, THETAS)
+                    )
+
+    def test_real_margins_match_eigvalsh(self, rng):
+        pts = rng.uniform(-2, 2, (200, 4))
+        pts[1::4, 3] = pts[1::4, 0]
+        pts[2::4, 3] = -pts[2::4, 0]
+        pts[3::4, 1] = 0.0
+        fast = margin_grid(pts, 32)
+        assert np.abs(fast - reference_margins(pts, 32, True)).max() <= 1e-13
+
+    def test_complex_margins_match_svd(self, rng):
+        pts = split_test_points(rng, 10)
+        near = rng.uniform(-2, 2, (190, 4)) + 1j * rng.uniform(-1, 1, (190, 4))
+        pts = np.concatenate([pts, near])
+        fast = margin_grid(pts, 32)
+        assert np.abs(fast - reference_margins(pts, 32, False)).max() <= 1e-13
+
+    @pytest.mark.parametrize("N", [2, 3, 8])
+    def test_margins_match_dense_svd(self, rng, N):
+        for z in list(split_test_points(rng, 5)) + [rng.uniform(-2, 2, 4)]:
+            dense = membership_margin(z, N, method="dense")
+            assert margin_grid(z[None, :], N)[0] == pytest.approx(dense, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            (1.0, 0.0, 0.0, 1.0),  # B- = 0 at every angle
+            (1 + 1j, 0.0, 0.0, 1 + 1j),
+            (0.0, 1j, -1j, 0.0),  # both blocks vanish at theta = 0
+        ],
+    )
+    def test_zero_block(self, z):
+        margin = margin_grid(np.array([z]), 4)[0]
+        assert margin == 0.0
+        assert reference_margins(np.array([z]), 4, False)[0] <= 1e-15
+        for kind in FunctionalKind:
+            with pytest.raises(OnSpectrum):
+                symbol_integrand(z, "e", kind, fft_angles(4))

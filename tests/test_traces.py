@@ -19,6 +19,7 @@ from dinfh.traces import (
     integrand_phitr,
     integrand_tr,
     integrand_tr_degenerate,
+    loop_coefficients,
     loop_period,
     potential_gradient,
     potential_tr,
@@ -144,6 +145,28 @@ class TestQuadrature:
     def test_rejects_odd_nodes(self):
         with pytest.raises(ValueError):
             TraceRequest(P, "tr", "e", 15)
+
+
+# closed-form margin 5.0e-8, above the 1e-9 loop guard; the nearest root
+# x = 1 + 5e-8 makes the trapezoid rule need ~6e4 nodes
+NEAR = (math.sqrt(4.0 + 2e-7), 1.0, 1.0, 0.0)
+# (1/2pi) int z0 / (z0^2 - 2 - 2 cos) = z0 / sqrt((z0^2 - 2)^2 - 4)
+NEAR_TR_E = NEAR[0] / math.sqrt((NEAR[0] ** 2 - 2.0) ** 2 - 4.0)
+
+
+class TestNearSpectrum:
+    def test_loop_coefficients_raise_instead_of_returning(self):
+        # 4096 nodes give 3088.7 against the true 2236.07
+        with pytest.raises(NonConvergent):
+            loop_coefficients(np.array([NEAR], dtype=complex), "tr")
+
+    def test_fine_grid_reaches_the_closed_form(self):
+        vals = oracle.symbol_integrand(NEAR, "e", "tr", oracle.fft_angles(2**16))
+        assert vals.mean() == pytest.approx(NEAR_TR_E, rel=1e-6)
+
+    def test_potential_raises_at_max_nodes(self):
+        with pytest.raises(NonConvergent):
+            potential_tr(NEAR, max_nodes=2**10)
 
 
 class TestPotential:
