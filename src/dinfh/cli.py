@@ -321,7 +321,6 @@ def _cmd_verify(args) -> int:
                 "number": r.number,
                 "name": r.name,
                 "passed": r.passed,
-                "seconds": round(r.seconds, 3),
                 "details": _json_safe(r.details),
             }
             for r in results

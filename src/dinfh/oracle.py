@@ -346,6 +346,28 @@ def _check_loop_margins(Z: np.ndarray, N: int, loop_name: str) -> None:
         )
 
 
+def _tangent_columns(dz, N: int) -> np.ndarray:
+    """P(dz) V = P(dz)[:, :2N] - P(dz)[:, 2N:], scattered like pencil_matrix."""
+    half = 2 * N
+    out = np.zeros((4 * N, half), dtype=complex, order="F")
+    cols = np.arange(half)
+    for word, c in zip(WORDS, dz):
+        if c != 0:
+            sigma = word_permutation(word, N)
+            out[sigma[:half], cols] += c
+            out[sigma[half:], cols] -= c
+    return out
+
+
+def _twisted_form(pencil: CirculantPencil, dz) -> complex:
+    """phi~(P^-1 P(dz)) = -(1/4N) Tr(V^T P^-1 P(dz) V) by a 2N-column solve."""
+    half = 2 * pencil.N
+    Y = scipy.linalg.lu_solve(
+        pencil.lu(), _tangent_columns(dz, pencil.N), overwrite_b=True, check_finite=False
+    )
+    return complex(np.trace(Y[half:]) - np.trace(Y[:half])) / (4 * pencil.N)
+
+
 def oracle_period(
     loop: LoopPath,
     functional,
@@ -360,6 +382,19 @@ def oracle_period(
     truncated pencil around the loop, divided by 4N.  Twisted functional:
     trapezoid integral of the oracle coefficient 1-form, one Richardson
     refinement, with step doubling until stable.
+
+    The twisted 1-form is evaluated from two exact identities.  The pencil
+    is linear in z, P(z) = sum_w z_w W_w, so on a tangent dz the 1-form is
+    sum_w dz_w phi~(P^-1 W_w) = phi~(P^-1 P(dz)).  And phi~(X) =
+    (1/4N) Tr(X (Q - I)) with Q the tau block swap, where Q - I = -V V^T for
+    V = [I; -I] (4N x 2N).  So each sample costs one LU of the assembled
+    truncation and one solve against the 2N columns P(dz) V, instead of the
+    full inverse and four word traces.  Both identities are algebra on the
+    functional and on how P is assembled; neither uses the DFT or the
+    tau-parity split, so this route stays independent of the fast path.
+    Sample values are reused across step doublings, keyed on the exact
+    bytes of (z_j, dz_j): with an analytic derivative the even points of
+    the 2n grid are bitwise the n grid; spectral derivatives never match.
     """
     kind = FunctionalKind.coerce(functional)
     n = loop.steps if steps is None else int(steps)
@@ -382,17 +417,20 @@ def oracle_period(
             total = (logabs[-1] - logabs[0]) + 1j * dphi.sum()
             return complex(total) / (4 * N)
 
+    cache: dict[bytes, complex] = {}
+
     def value_at(nsteps: int) -> complex:
         Z = loop.samples(nsteps)[:-1]
         _check_loop_margins(Z, N, loop.name)
-        coeffs = np.empty((len(Z), 4), dtype=complex)
-        for j, zj in enumerate(Z):
-            pencil = pencil_matrix(zj, N)
-            for iw, word in enumerate(WORDS):
-                coeffs[j, iw] = oracle_phitr(pencil, word)
         dz = loop.derivatives(nsteps)
+        vals = np.empty(len(Z), dtype=complex)
+        for j, (zj, dzj) in enumerate(zip(Z, dz)):
+            key = zj.tobytes() + dzj.tobytes()
+            if key not in cache:
+                cache[key] = _twisted_form(pencil_matrix(zj, N), dzj)
+            vals[j] = cache[key]
         # periodic trapezoid of the coefficient 1-form along the loop
-        return complex((coeffs * dz).sum(axis=1).mean())
+        return complex(vals.mean())
 
     prev = value_at(n)
     while True:

@@ -181,6 +181,13 @@ class TestDeterminism:
         run_cli(capsys, "membership", "--z", "1", "8", "4", "2", "--out", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_verify_artifacts_identical(self, capsys, tmp_path):
+        f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
+        for f in (f1, f2):
+            code, _, _ = run_cli(capsys, "verify", "--only", "2,4,8", "--out", str(f))
+            assert code == 0
+        assert f1.read_bytes() == f2.read_bytes()
+
     def test_erratum_deterministic(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
         for f in (f1, f2):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dinfh import loops
+from dinfh import loops, oracle
 from dinfh.errors import (
     LoopHitsSpectrum,
     OnSpectrum,
@@ -73,6 +73,31 @@ def apply_functional(X, functional):
 def reference_integrand(z, word, functional, thetas):
     X = np.linalg.solve(pencil_symbol(z, thetas), word_symbol(word, thetas))
     return apply_functional(X, functional)
+
+
+def reference_twisted_period(loop, N, steps, residual_target=1e-6):
+    """The per-word full-inverse twisted period: for every sample, the four
+    coefficients oracle_phitr(P, w) contracted with dz, each grid in full."""
+
+    def value_at(nsteps):
+        Z = loop.samples(nsteps)[:-1]
+        coeffs = np.empty((len(Z), 4), dtype=complex)
+        for j, zj in enumerate(Z):
+            pencil = pencil_matrix(zj, N)
+            for iw, word in enumerate(WORDS):
+                coeffs[j, iw] = oracle_phitr(pencil, word)
+        dz = loop.derivatives(nsteps)
+        return complex((coeffs * dz).sum(axis=1).mean())
+
+    n = steps
+    prev = value_at(n)
+    while n < 2**13:
+        n *= 2
+        cur = value_at(n)
+        if abs(cur - prev) <= residual_target:
+            return richardson(prev, cur)
+        prev = cur
+    raise AssertionError(f"reference period on {loop.name} did not stabilise")
 
 
 def random_offspectrum_points(rng, count, require_margin=0.05):
@@ -240,6 +265,16 @@ class TestSymbol:
         assert np.array_equal(sa[stau], stau[sa])
 
 
+# L1, L2, a circle with z1*z2 != 0 and a complex centre around the z0 = z3
+# sheet, and L1 without an analytic derivative (spectral dz)
+TWISTED_LOOPS = [
+    loops.loop_L1(),
+    loops.loop_L2(),
+    loops.circle_loop([1 + 0.2j, 0.3, 0.2, 1.0], 0.8, ["z0"], name="offaxis"),
+    loops.LoopPath(loops.loop_L1().fn, name="L1-spectral"),
+]
+
+
 class TestOraclePeriods:
     def test_L1_canonical(self):
         val = oracle_period(loops.loop_L1(), "tr", N=32)
@@ -257,6 +292,32 @@ class TestOraclePeriods:
         bad = loops.circle_loop([1.0, 0, 0, 1.5], 0.5, ["z0"], name="bad")
         with pytest.raises(LoopHitsSpectrum):
             oracle_period(bad, "tr", N=8, steps=64)
+
+    def test_twisted_loop_through_spectrum_rejected(self):
+        bad = loops.circle_loop([1.0, 0, 0, 1.5], 0.5, ["z0"], name="bad")
+        with pytest.raises(LoopHitsSpectrum):
+            oracle_period(bad, "phitr", N=8, steps=64)
+
+    @pytest.mark.parametrize("loop", TWISTED_LOOPS, ids=lambda lp: lp.name)
+    def test_twisted_matches_full_inverse_reference(self, loop):
+        val = oracle_period(loop, "phitr", N=16, steps=128)
+        assert abs(val - reference_twisted_period(loop, 16, 128)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "loop, lu_calls",
+        # analytic dz: the coarse grid is the even half of the fine one;
+        # spectral dz changes with the grid, so nothing is reused
+        [(loops.loop_L1(), 256), (loops.LoopPath(loops.loop_L1().fn), 128 + 256)],
+        ids=["analytic", "spectral"],
+    )
+    def test_twisted_samples_reused_across_doublings(self, monkeypatch, loop, lu_calls):
+        calls = []
+        lu = oracle.CirculantPencil.lu
+        monkeypatch.setattr(
+            oracle.CirculantPencil, "lu", lambda self: calls.append(1) or lu(self)
+        )
+        oracle_period(loop, "phitr", N=16, steps=128)
+        assert len(calls) == lu_calls
 
 
 # grid angles and off-grid angles

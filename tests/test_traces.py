@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dinfh import loops, oracle
+from dinfh import loops, oracle, traces
 from dinfh.errors import (
     LoopHitsSpectrum,
     NonConvergent,
@@ -142,6 +142,16 @@ class TestQuadrature:
         with pytest.raises(NonConvergent):
             trace_quadrature(TraceRequest((z0, 1.0, 1.0, 0.0), "tr", "e", 16))
 
+    def test_nonconvergent_above_target_at_max_nodes(self):
+        # nearest root x = 1 + 1.5e-4: 1024 -> 2048 nodes change the value by
+        # 1.0e-9, above the 1e-10 target, so a 2048-node cap must not return
+        z = (math.sqrt(4.0 + 6e-4), 1.0, 1.0, 0.0)
+        req = TraceRequest(z, "tr", "e", 16)
+        with pytest.raises(NonConvergent):
+            trace_quadrature(req, max_nodes=2048)
+        exact = z[0] / math.sqrt((z[0] ** 2 - 2.0) ** 2 - 4.0)
+        assert trace_quadrature(req) == pytest.approx(exact, abs=1e-10)
+
     def test_rejects_odd_nodes(self):
         with pytest.raises(ValueError):
             TraceRequest(P, "tr", "e", 15)
@@ -245,6 +255,21 @@ class TestPeriods:
         bad = loops.circle_loop([1.0, 0, 0, 1.5], 0.5, ["z0"], name="bad")
         with pytest.raises(LoopHitsSpectrum):
             loop_period(bad, "tr", steps=64)
+
+    @pytest.mark.parametrize("functional", ["tr", "phitr"])
+    def test_doubling_reuses_coarse_coefficients(self, monkeypatch, functional):
+        rows = []
+
+        def counted(Z, *args, **kwargs):
+            rows.append(len(Z))
+            return loop_coefficients(Z, *args, **kwargs)
+
+        monkeypatch.setattr(traces, "loop_coefficients", counted)
+        rep = loop_period(loops.loop_L1(), functional)
+        # 512 coarse samples, then only the 512 odd points of the 1024 grid
+        assert rows == [512, 512]
+        expect = 1j * math.pi if functional == "tr" else -2j * math.pi
+        assert rep.value == pytest.approx(expect, abs=1e-9)
 
     def test_quanta(self):
         assert QUANTA[FunctionalKind.CANONICAL_TRACE] == 0.5j * math.pi
