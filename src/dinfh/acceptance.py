@@ -142,11 +142,14 @@ def criterion_4(config: RunConfig) -> CriterionResult:
     quad_tr_e = traces.trace_quadrature(
         traces.TraceRequest(P_POINT, "tr", "e", config.default_n_nodes)
     )
-    oracle_tr_e = oracle.oracle_trace(P_POINT, "e", config.default_N)
+    # one truncation, one LU: the trace reads the full inverse, phi~ solves
+    # against the same factors
+    pencil = oracle.pencil_matrix(P_POINT, config.default_N)
+    oracle_tr_e = oracle.oracle_trace(pencil, "e")
     quad_phi_a = traces.trace_quadrature(
         traces.TraceRequest(P_POINT, "phitr", "a", config.default_n_nodes)
     )
-    oracle_phi_a = oracle.oracle_phitr(P_POINT, "a", config.default_N)
+    oracle_phi_a = oracle.oracle_phitr(pencil, "a")
     errs = {
         "quad_tr_e": abs(quad_tr_e - tr_e_exact),
         "oracle_tr_e": abs(oracle_tr_e - tr_e_exact),

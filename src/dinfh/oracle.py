@@ -44,8 +44,8 @@ LU_PIVOT_TOL = 1e-12
 # the dense truncation stores a (4N)^2 complex matrix and its inverse
 MAX_DENSE_N = 1024
 
-# anti-diagonal block positions picked out by the twisted functional
-_PHI_BLOCKS = ((0, 2), (1, 3), (2, 0), (3, 1))
+# block positions of tau (cosets e <-> tau, t <-> tau*t)
+_TAU_BLOCKS = ((0, 2), (1, 3), (2, 0), (3, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def pencil_symbol(Z, thetas) -> np.ndarray:
         M[..., i, i] = Z[..., 0, None]
     M[..., 0, 1] = M[..., 2, 3] = w
     M[..., 1, 0] = M[..., 3, 2] = wbar
-    for i, j in _PHI_BLOCKS:
+    for i, j in _TAU_BLOCKS:
         M[..., i, j] = Z[..., 3, None]
     return M
 
@@ -293,25 +293,16 @@ def oracle_trace(z_or_pencil, word: str, N: int | None = None) -> complex:
 
 
 def oracle_phitr(z_or_pencil, word: str, N: int | None = None) -> complex:
-    """Twisted functional of pencil^-1 * word via block traces.
+    """Twisted functional phi~(pencil^-1 * word matrix).
 
-    -(1/4N) * sum of diagonal block traces of X plus (1/4N) * sum of the
-    (1,3),(2,4),(3,1),(4,2) block traces, X = pencil^-1 * word matrix.
+    The word's one-hot tangent in ``_twisted_form``: phi~(X) =
+    -(1/4N) Tr(V^T X V) with V = [I; -I], so one 2N-column solve against
+    the pencil's LU gives it, without the full inverse.
     """
+    if word not in WORDS:
+        raise ValueError(f"unknown word {word!r}")
     pencil = _as_pencil(z_or_pencil, N)
-    n = pencil.N
-    Pinv = pencil.inverse()
-    sigma = word_permutation(word, n)
-    m = np.arange(n)
-    total = 0j
-    for b in range(4):
-        rows = b * n + m
-        total -= Pinv[rows, sigma[rows]].sum()
-    for bi, bj in _PHI_BLOCKS:
-        rows = bi * n + m
-        cols = sigma[bj * n + m]
-        total += Pinv[rows, cols].sum()
-    return complex(total) / (4 * n)
+    return _twisted_form(pencil, [float(w == word) for w in WORDS])
 
 
 def oracle_functional(z_or_pencil, word: str, functional, N: int | None = None) -> complex:

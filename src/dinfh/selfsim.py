@@ -21,6 +21,18 @@ its eigenvalues all satisfy the closed-form spectrum membership of the
 full pencil (-lambda, z1, z2, z3) - a desk-scale witness that the tree
 (Koopman) representation and the left regular representation have the
 same joint spectrum.
+
+The pencil is solved one orbit at a time.  Its entry (i, j) is nonzero
+only when i = g(j) for a generator g, so each orbit of <a, t, tau> on the
+4^n leaves spans an invariant subspace, and after a permutation of the
+leaves the pencil is the direct sum of its restrictions to the orbits.
+The eigenvalues of those blocks, with multiplicity, are exactly the
+eigenvalues of the pencil.  The orbits come from the group action alone
+(not from the nonzero pattern), so zero coefficients need no special case,
+and the split is plain linear algebra on the permutation representation:
+it uses neither the closed-form spectrum nor the DFT.  On both automata
+level n has 2^(n-1) orbits of 2^(n+1) leaves; blocks are grouped by size,
+so nothing depends on that count.
 """
 
 from __future__ import annotations
@@ -32,11 +44,19 @@ import numpy as np
 
 from .errors import LevelTooLarge
 from .group import GEN_A, GEN_T, GEN_TAU, IDENTITY, GroupElement, mul
-from .spectrum import MembershipResult, PencilPoint, membership
+from .spectrum import membership_grid
 
 MAX_LEVEL = 6
 
 _IDENT_PERM = (0, 1, 2, 3)
+
+
+def _check_level(n: int) -> None:
+    # raised before any 4^n allocation
+    if n < 0:
+        raise ValueError("level must be nonnegative")
+    if n > MAX_LEVEL:
+        raise LevelTooLarge(f"level {n} exceeds the desk-scale cap {MAX_LEVEL}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +108,7 @@ class TreeAction:
         }
         self._cache: Dict[GroupElement, WreathElement] = {}
         self._levels: Dict[Tuple[GroupElement, int], np.ndarray] = {}
+        self._orbits: Dict[int, np.ndarray] = {}
 
     def _wreath_pow_u(self, k: int) -> WreathElement:
         # square-and-multiply on u = a*t (u^-1 = t*a); powers of u commute,
@@ -135,8 +156,7 @@ class TreeAction:
         Index encoding is big-endian in the letters: word (x_1 .. x_n)
         maps to x_1*4^(n-1) + ... + x_n.
         """
-        if n < 0:
-            raise ValueError("level must be nonnegative")
+        _check_level(n)
         key = (g, n)
         cached = self._levels.get(key)
         if cached is not None:
@@ -152,6 +172,24 @@ class TreeAction:
                 vec[x * block : (x + 1) * block] = wr.perm[x] * block + sub
         self._levels[key] = vec
         return vec
+
+    def orbit_labels(self, n: int) -> np.ndarray:
+        """Orbit of each level-n leaf under <a, t, tau>, named by its
+        smallest leaf (min-label propagation to a fixed point)."""
+        cached = self._orbits.get(n)
+        if cached is not None:
+            return cached
+        vecs = [self.level_matrix(g, n) for g in (GEN_A, GEN_T, GEN_TAU)]
+        lab = np.arange(4**n)
+        while True:
+            new = lab
+            for v in vecs:
+                new = np.minimum(new, new[v])
+            if np.array_equal(new, lab):
+                break
+            lab = new
+        self._orbits[n] = lab
+        return lab
 
 
 _DEFAULT_ACTION = TreeAction()
@@ -201,27 +239,30 @@ def level_matrix(
     return LevelMatrix(n=n, perm_vector=vec)
 
 
-def pencil_level_matrix(
-    z1: float, z2: float, z3: float, n: int, tau_with_restrictions: bool = False
-) -> np.ndarray:
-    """Dense symmetric matrix z1*M(a) + z2*M(t) + z3*M(tau) at level n."""
-    if n > MAX_LEVEL:
-        raise LevelTooLarge(f"level {n} exceeds the desk-scale cap {MAX_LEVEL}")
-    act = _action(tau_with_restrictions)
-    size = 4**n
-    M = np.zeros((size, size))
-    cols = np.arange(size)
-    for coeff, gen in ((z1, GEN_A), (z2, GEN_T), (z3, GEN_TAU)):
-        M[act.level_matrix(gen, n), cols] += coeff
-    return M
-
-
 def pencil_level_eigs(
     z1: float, z2: float, z3: float, n: int, tau_with_restrictions: bool = False
 ) -> np.ndarray:
-    """Sorted eigenvalues (with multiplicity) of the level-n pencil."""
-    M = pencil_level_matrix(z1, z2, z3, n, tau_with_restrictions)
-    return np.linalg.eigvalsh(M)
+    """Sorted eigenvalues (with multiplicity) of the level-n pencil
+    z1*M(a) + z2*M(t) + z3*M(tau), solved one orbit block at a time."""
+    _check_level(n)
+    act = _action(tau_with_restrictions)
+    labels = act.orbit_labels(n)
+    vecs = [act.level_matrix(g, n) for g in (GEN_A, GEN_T, GEN_TAU)]
+    # leaves grouped by orbit; local[i] is leaf i's index inside its block
+    order = np.argsort(labels, kind="stable")
+    _, start, sizes = np.unique(labels[order], return_index=True, return_counts=True)
+    local = np.empty_like(order)
+    local[order] = np.arange(len(order)) - np.repeat(start, sizes)
+    eigs = []
+    for s in np.unique(sizes):
+        # (k, s): the leaves of the k orbits of size s, block by block
+        leaves = order[start[sizes == s][:, None] + np.arange(s)]
+        blocks = np.zeros((len(leaves), s, s))
+        k, cols = np.ogrid[: len(leaves), :s]
+        for coeff, vec in zip((z1, z2, z3), vecs):
+            blocks[k, local[vec[leaves]], cols] += coeff
+        eigs.append(np.linalg.eigvalsh(blocks).ravel())
+    return np.sort(np.concatenate(eigs))
 
 
 def validate_eigs_in_spectrum(
@@ -239,16 +280,15 @@ def validate_eigs_in_spectrum(
     among all eigenvalues is reported as a quality figure.
     """
     eigs = pencil_level_eigs(z1, z2, z3, n, tau_with_restrictions)
-    violations: List[dict] = []
-    max_margin = 0.0
-    for lam in eigs:
-        res: MembershipResult = membership(
-            PencilPoint(-lam, z1, z2, z3), tol=tol
-        )
-        max_margin = max(max_margin, res.margin)
-        if not res.in_spectrum:
-            violations.append({"eigenvalue": float(lam), "margin": res.margin})
-    return {"violations": violations, "max_margin": max_margin}
+    points = np.empty((len(eigs), 4), dtype=complex)
+    points[:, 0] = -eigs
+    points[:, 1:] = (z1, z2, z3)
+    margin, inside = membership_grid(points, tol=tol)
+    violations: List[dict] = [
+        {"eigenvalue": float(lam), "margin": float(m)}
+        for lam, m in zip(eigs[~inside], margin[~inside])
+    ]
+    return {"violations": violations, "max_margin": float(margin.max())}
 
 
 def spectrum_slice_intervals(z1: float, z2: float, z3: float):
@@ -281,30 +321,22 @@ def coverage_gap(
     """One-sided Hausdorff gap from the spectrum slice to the level-n
     eigenvalues: sup over slice points of the distance to the nearest
     eigenvalue."""
-    eigs = np.sort(pencil_level_eigs(z1, z2, z3, n, tau_with_restrictions))
-    intervals = spectrum_slice_intervals(z1, z2, z3)
-
-    def dist(y: float) -> float:
-        i = np.searchsorted(eigs, y)
-        best = np.inf
-        if i < len(eigs):
-            best = min(best, abs(eigs[i] - y))
-        if i > 0:
-            best = min(best, abs(y - eigs[i - 1]))
-        return float(best)
-
-    gap = 0.0
-    for lo, hi in intervals:
-        # the distance-to-eigenvalues function is piecewise V-shaped, so
-        # its max over [lo, hi] sits at an endpoint or at a midpoint of
-        # consecutive eigenvalues inside the interval
-        candidates = [lo, hi]
+    eigs = pencil_level_eigs(z1, z2, z3, n, tau_with_restrictions)
+    # the distance-to-eigenvalues function is piecewise V-shaped, so its
+    # max over each slice interval [lo, hi] sits at an endpoint or at a
+    # midpoint of consecutive eigenvalues inside the interval
+    candidates = []
+    for lo, hi in spectrum_slice_intervals(z1, z2, z3):
         inside = eigs[(eigs > lo) & (eigs < hi)]
-        if len(inside) > 1:
-            candidates.extend(0.5 * (inside[1:] + inside[:-1]))
-        for y in candidates:
-            gap = max(gap, dist(float(y)))
-    return gap
+        candidates += [[lo, hi], 0.5 * (inside[1:] + inside[:-1])]
+    y = np.concatenate(candidates)
+    i = np.searchsorted(eigs, y)
+    above = np.abs(eigs[np.minimum(i, len(eigs) - 1)] - y)
+    below = np.abs(y - eigs[np.maximum(i - 1, 0)])
+    dist = np.minimum(
+        np.where(i < len(eigs), above, np.inf), np.where(i > 0, below, np.inf)
+    )
+    return float(dist.max())
 
 
 def eigenvalue_csv_lines(

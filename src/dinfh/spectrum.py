@@ -176,6 +176,8 @@ def membership_grid(points: np.ndarray, tol: float = DEFAULT_TOL):
     Returns (margin, in_spectrum) arrays.  Matches the scalar routine
     branch for branch; used by rasters and the large acceptance sweeps.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ValueError("points must have shape (n, 4)")

@@ -9,6 +9,7 @@ import pytest
 
 import dinfh
 from dinfh.cli import main
+from dinfh.selfsim import MAX_LEVEL
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +123,22 @@ class TestTreeCommands:
         )
         assert code == 0
         assert json.loads(out)["gap"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tree", "--element", "a"],
+            ["tree-spectrum", "--z1", "1", "--z2", "1", "--z3", "1"],
+            ["coverage", "--z1", "1", "--z2", "1", "--z3", "1"],
+        ],
+    )
+    def test_level_cap(self, capsys, argv):
+        # one past the cap, so nothing large is allocated even if it failed
+        level = str(MAX_LEVEL + 1)
+        code, out, err = run_cli(capsys, *argv, "--level", level)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "LevelTooLarge"
 
 
 class TestSliceCommand:

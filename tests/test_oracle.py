@@ -75,6 +75,25 @@ def reference_integrand(z, word, functional, thetas):
     return apply_functional(X, functional)
 
 
+def reference_phitr(pencil, word):
+    """Twisted functional of pencil^-1 * word from the full inverse:
+    -(1/4N) * the diagonal block traces of X plus (1/4N) * its (1,3),
+    (2,4), (3,1), (4,2) block traces, X = pencil^-1 * word matrix."""
+    n = pencil.N
+    Pinv = pencil.inverse()
+    sigma = word_permutation(word, n)
+    m = np.arange(n)
+    total = 0j
+    for b in range(4):
+        rows = b * n + m
+        total -= Pinv[rows, sigma[rows]].sum()
+    for bi, bj in ((0, 2), (1, 3), (2, 0), (3, 1)):
+        rows = bi * n + m
+        cols = sigma[bj * n + m]
+        total += Pinv[rows, cols].sum()
+    return complex(total) / (4 * n)
+
+
 def reference_twisted_period(loop, N, steps, residual_target=1e-6):
     """The per-word full-inverse twisted period: for every sample, the four
     coefficients oracle_phitr(P, w) contracted with dz, each grid in full."""
@@ -85,7 +104,7 @@ def reference_twisted_period(loop, N, steps, residual_target=1e-6):
         for j, zj in enumerate(Z):
             pencil = pencil_matrix(zj, N)
             for iw, word in enumerate(WORDS):
-                coeffs[j, iw] = oracle_phitr(pencil, word)
+                coeffs[j, iw] = reference_phitr(pencil, word)
         dz = loop.derivatives(nsteps)
         return complex((coeffs * dz).sum(axis=1).mean())
 
@@ -196,6 +215,18 @@ class TestOracleTraces:
         assert oracle_phitr(P, "e", 256) == pytest.approx(
             -1 / math.sqrt(2145), abs=1e-10
         )
+
+    def test_phitr_matches_full_inverse(self, rng):
+        points = [P, (2, 0, 0, 1)] + random_offspectrum_points(rng, 3)
+        for z in points:
+            for N in (16, 64):
+                pencil = pencil_matrix(z, N)
+                for word in WORDS:
+                    assert abs(oracle_phitr(pencil, word) - reference_phitr(pencil, word)) <= 1e-12
+
+    def test_phitr_unknown_word(self):
+        with pytest.raises(ValueError):
+            oracle_phitr(P, "u", 8)
 
     def test_singular_truncation(self):
         with pytest.raises(SingularTruncation):

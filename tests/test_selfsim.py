@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dinfh import selfsim
 from dinfh.errors import LevelTooLarge
 from dinfh.group import (
     GEN_A,
@@ -12,6 +13,7 @@ from dinfh.group import (
     mul,
 )
 from dinfh.selfsim import (
+    MAX_LEVEL,
     WreathElement,
     act_on_word,
     coverage_gap,
@@ -23,8 +25,69 @@ from dinfh.selfsim import (
     validate_eigs_in_spectrum,
     wreath_mul,
 )
+from dinfh.spectrum import PencilPoint, membership
 
 GENS = {"a": GEN_A, "t": GEN_T, "tau": GEN_TAU}
+
+
+# ---------------------------------------------------------------------------
+# test-side references: the dense level-n pencil and the scalar loops that
+# validate_eigs_in_spectrum and coverage_gap replaced
+
+
+def pencil_level_matrix(z1, z2, z3, n, tau_with_restrictions=False):
+    """Dense symmetric matrix z1*M(a) + z2*M(t) + z3*M(tau) at level n."""
+    size = 4**n
+    M = np.zeros((size, size))
+    cols = np.arange(size)
+    for coeff, gen in ((z1, GEN_A), (z2, GEN_T), (z3, GEN_TAU)):
+        M[level_matrix(gen, n, tau_with_restrictions).perm_vector, cols] += coeff
+    return M
+
+
+def scalar_validation(z1, z2, z3, n, tol=1e-8):
+    violations = []
+    max_margin = 0.0
+    for lam in pencil_level_eigs(z1, z2, z3, n):
+        res = membership(PencilPoint(-lam, z1, z2, z3), tol=tol)
+        max_margin = max(max_margin, res.margin)
+        if not res.in_spectrum:
+            violations.append({"eigenvalue": float(lam), "margin": res.margin})
+    return {"violations": violations, "max_margin": max_margin}
+
+
+def scalar_coverage_gap(z1, z2, z3, n):
+    eigs = np.sort(pencil_level_eigs(z1, z2, z3, n))
+
+    def dist(y):
+        i = np.searchsorted(eigs, y)
+        best = np.inf
+        if i < len(eigs):
+            best = min(best, abs(eigs[i] - y))
+        if i > 0:
+            best = min(best, abs(y - eigs[i - 1]))
+        return float(best)
+
+    gap = 0.0
+    for lo, hi in spectrum_slice_intervals(z1, z2, z3):
+        candidates = [lo, hi]
+        inside = eigs[(eigs > lo) & (eigs < hi)]
+        if len(inside) > 1:
+            candidates.extend(0.5 * (inside[1:] + inside[:-1]))
+        for y in candidates:
+            gap = max(gap, dist(float(y)))
+    return gap
+
+
+def seeded_pencils(rng, count):
+    """Seeded (z1, z2, z3), one coefficient zeroed in every third."""
+    out = []
+    for i in range(count):
+        z = rng.uniform(-2, 2, 3)
+        if i % 3 == 0:
+            z[i % 9 // 3] = 0.0
+        out.append(tuple(float(v) for v in z))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +270,65 @@ class TestLevelMatrix:
                         level_matrix(g, n).perm_vector, ident
                     )
 
+    def test_level_cap(self):
+        # raised before the 4^n vector is allocated; the cap + 1 stays small
+        # even if it were not
+        with pytest.raises(LevelTooLarge):
+            level_matrix(GEN_A, MAX_LEVEL + 1)
+        with pytest.raises(LevelTooLarge):
+            level_matrix(GEN_U, MAX_LEVEL + 1, tau_with_restrictions=True)
+        with pytest.raises(ValueError):
+            level_matrix(GEN_A, -1)
+
     def test_dump_format(self):
         lines = list(level_matrix(GEN_A, 1).dump_lines())
         assert lines[0] == "0 -> 1"
         assert lines[1] == "1 -> 0"
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("alt", [False, True])
+    def test_partition(self, alt):
+        action = selfsim._action(alt)
+        for n in range(1, MAX_LEVEL + 1):
+            labels = action.orbit_labels(n)
+            leaves = np.arange(4**n)
+            # each label names a leaf of its own orbit, and the smallest one
+            assert np.all(labels[labels] == labels)
+            assert np.all(labels <= leaves)
+            for g in GENS.values():
+                vec = action.level_matrix(g, n)
+                assert np.array_equal(labels[vec], labels)
+            # the orbits of <a, t, tau> are connected by the generators:
+            # from each label every leaf of its orbit is reached
+            reached = labels == leaves
+            frontier = reached.copy()
+            while frontier.any():
+                new = np.zeros_like(reached)
+                for g in GENS.values():
+                    new[action.level_matrix(g, n)[frontier]] = True
+                frontier = new & ~reached
+                reached |= new
+            assert reached.all()
+            # 2^(n-1) orbits of 2^(n+1) leaves, covering every leaf once
+            _, sizes = np.unique(labels, return_counts=True)
+            assert sizes.sum() == 4**n
+            assert len(sizes) == 2 ** (n - 1)
+            assert np.all(sizes == 2 ** (n + 1))
+
+    @pytest.mark.parametrize("alt", [False, True])
+    def test_blocks_match_dense(self, rng, alt):
+        for z in seeded_pencils(rng, 12):
+            for n in range(1, 6):
+                eigs = pencil_level_eigs(*z, n, alt)
+                dense = np.linalg.eigvalsh(pencil_level_matrix(*z, n, alt))
+                assert len(eigs) == 4**n
+                assert np.abs(eigs - dense).max() <= 1e-12 * max(
+                    1.0, np.linalg.norm(z)
+                )
+
+    def test_zero_pencil(self):
+        assert np.array_equal(pencil_level_eigs(0, 0, 0, 3), np.zeros(64))
 
 
 class TestLevelEigs:
@@ -234,7 +352,7 @@ class TestLevelEigs:
 
     def test_nesting(self):
         prev = np.sort(pencil_level_eigs(1, 1, 0.5, 1))
-        for n in (2, 3, 4):
+        for n in range(2, MAX_LEVEL + 1):
             cur = np.sort(pencil_level_eigs(1, 1, 0.5, n))
             idx = np.clip(np.searchsorted(cur, prev), 1, len(cur) - 1)
             dist = np.minimum(np.abs(cur[idx] - prev), np.abs(prev - cur[idx - 1]))
@@ -251,6 +369,26 @@ class TestValidation:
     def test_level_5_clean(self):
         out = validate_eigs_in_spectrum(1, 1, 0.5, 5)
         assert out["violations"] == []
+
+    def test_level_6_clean(self):
+        out = validate_eigs_in_spectrum(1, 1, 0.5, 6)
+        assert out["violations"] == []
+
+    @pytest.mark.parametrize("z", [(1, 1, 0.5), (1, 0, 0), (1, 1, 1), (-1.3, 0.7, 1.9)])
+    def test_matches_scalar_loop(self, z):
+        for n in range(1, 5):
+            for tol in (1e-8, 1e-15):
+                fast = validate_eigs_in_spectrum(*z, n, tol=tol)
+                ref = scalar_validation(*z, n, tol=tol)
+                assert len(fast["violations"]) == len(ref["violations"])
+                for f, r in zip(fast["violations"], ref["violations"]):
+                    assert f["eigenvalue"] == r["eigenvalue"]
+                    assert f["margin"] == pytest.approx(r["margin"], abs=1e-15)
+                assert fast["max_margin"] == pytest.approx(ref["max_margin"], abs=1e-15)
+
+    def test_rejects_nonpositive_tol(self):
+        with pytest.raises(ValueError):
+            validate_eigs_in_spectrum(1, 1, 0.5, 2, tol=0.0)
 
     def test_degenerate_branch(self):
         out = validate_eigs_in_spectrum(1, 0, 0, 2)
@@ -279,6 +417,11 @@ class TestCoverage:
 
     def test_level_5_coverage(self):
         assert coverage_gap(1, 1, 0.5, 5) < 0.5
+
+    @pytest.mark.parametrize("z", [(1, 1, 0.5), (1, 0, 0), (0.3, -1.7, 1.1)])
+    def test_matches_scalar_reference(self, z):
+        for n in range(2, 6):
+            assert coverage_gap(*z, n) == scalar_coverage_gap(*z, n)
 
     def test_involution_attains_slice(self):
         for n in (1, 2, 3):
