@@ -17,10 +17,9 @@ import numpy as np
 
 from . import erratum, loops, oracle, selfsim, traces
 from .config import RunConfig
+from .erratum import P_POINT
 from .group import GEN_A, GEN_T, GEN_TAU, FunctionalKind, GroupElement, mul
 from .spectrum import membership, membership_grid
-
-P_POINT = (1.0, 8.0, 4.0, 2.0)
 
 
 @dataclass

@@ -30,8 +30,6 @@ from .spectrum import (
     slice_raster,
 )
 
-WORD_CHOICES = ("e", "a", "t", "tau")
-
 
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1; verification failures exit 2
@@ -139,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("trace", help="trace of resolvent times word")
     _add_z_argument(sub)
     sub.add_argument("--functional", choices=("tr", "phitr"), default="tr")
-    sub.add_argument("--word", choices=WORD_CHOICES, default="e")
+    sub.add_argument("--word", choices=oracle.WORDS, default="e")
     sub.add_argument("--method", choices=("quad", "oracle"), default="quad")
     sub.add_argument("--N", type=int, default=256)
     sub.add_argument("--n-nodes", type=int, default=256)
@@ -370,7 +368,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        # invalid values caught by the library's own checks are usage errors
         sys.stderr.write(f"dinfh: error: {exc}\n")
         return 1
     except DinfhError as exc:

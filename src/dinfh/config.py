@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 # "D1EDRA" read as a base-36 literal; recorded in every artifact header
 DEFAULT_SEED = int("D1EDRA", 36)
@@ -20,13 +19,11 @@ class RunConfig:
     default_N: int = 256
     default_n_nodes: int = 256
     seed: int = DEFAULT_SEED
-    outdir: Path = field(default_factory=lambda: Path("."))
 
     def __post_init__(self):
         for name in ("membership_tol", "quad_target", "period_residual_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        self.outdir = Path(self.outdir)
 
 
 def thread_cap() -> int | None:

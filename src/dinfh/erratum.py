@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import group, loops, oracle, traces
 from .config import SCHEMA_VERSION, RunConfig
 from .group import FunctionalKind
@@ -46,23 +44,17 @@ def _quad(z, functional, word, formula, n_nodes=256) -> complex:
 
 
 def _fd_oracle_phitr(z, word: str, coord: int, N: int, step: float = 1e-5) -> float:
-    zp = np.asarray(z, dtype=complex).copy()
-    zm = zp.copy()
-    zp[coord] += step
-    zm[coord] -= step
-    fp = oracle.oracle_phitr(zp, word, N)
-    fm = oracle.oracle_phitr(zm, word, N)
-    return ((fp - fm) / (2 * step)).real
+    def f(zi):
+        return oracle.oracle_phitr(zi, word, N)
+
+    return traces.central_difference(f, z, coord, step).real
 
 
 def _fd_tabulated_phitr(z, word: str, coord: int, step: float = 1e-5) -> float:
-    zp = np.asarray(z, dtype=complex).copy()
-    zm = zp.copy()
-    zp[coord] += step
-    zm[coord] -= step
-    fp = _quad(zp, "phitr", word, "tabulated")
-    fm = _quad(zm, "phitr", word, "tabulated")
-    return ((fp - fm) / (2 * step)).real
+    def f(zi):
+        return _quad(zi, "phitr", word, "tabulated")
+
+    return traces.central_difference(f, z, coord, step).real
 
 
 def tau_trace_comparison() -> dict:

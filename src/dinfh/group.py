@@ -95,8 +95,6 @@ GEN_T = GroupElement(t_flag=1)
 GEN_TAU = GroupElement(tau_flag=1)
 GEN_U = GroupElement(k=1)  # u = a*t
 
-GENERATORS = {"a": GEN_A, "t": GEN_T, "tau": GEN_TAU}
-
 
 def mul(g: GroupElement, h: GroupElement) -> GroupElement:
     """Product g*h reduced to normal form."""

@@ -317,6 +317,37 @@ def richardson(coarse: complex, fine: complex) -> complex:
     return fine + (fine - coarse) / 3.0
 
 
+def refine(fn, n: int, target: float, n_max: int, what: str) -> tuple:
+    """Evaluate fn(n), fn(2n), ... until two consecutive grids agree.
+
+    Returns (coarse, fine) at the first pair with max |fine - coarse| <=
+    ``target`` (scalars or arrays).  NonConvergent, with the history of
+    changes, is raised once a comparison at n >= ``n_max`` still misses.
+    A BranchJump from ``fn`` doubles n without a comparison and propagates
+    once n exceeds ``n_max``.
+    """
+    coarse, history = None, []
+    while True:
+        try:
+            fine = fn(n)
+        except BranchJump:
+            n *= 2
+            if n > n_max:
+                raise
+            continue
+        if coarse is not None:
+            change = float(np.max(np.abs(fine - coarse)))
+            if change <= target:
+                return coarse, fine
+            history.append(f"{change:.3e} at {n}")
+            if n >= n_max:
+                raise NonConvergent(
+                    f"{what} not settled to {target:.0e}: changes " + ", ".join(history)
+                )
+        coarse = fine
+        n *= 2
+
+
 # ---------------------------------------------------------------------------
 # oracle loop periods
 
@@ -423,14 +454,5 @@ def oracle_period(
         # periodic trapezoid of the coefficient 1-form along the loop
         return complex(vals.mean())
 
-    prev = value_at(n)
-    while True:
-        n *= 2
-        cur = value_at(n)
-        if abs(cur - prev) <= residual_target:
-            return richardson(prev, cur)
-        if n >= max_steps:
-            raise NonConvergent(
-                f"oracle period on {loop.name} did not stabilise by {n} steps"
-            )
-        prev = cur
+    what = f"oracle period on {loop.name}"
+    return richardson(*refine(value_at, n, residual_target, max_steps, what))

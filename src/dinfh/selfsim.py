@@ -11,9 +11,7 @@ the generators become
     t   -> trivial permutation,    restrictions (a, t, a, t)
     tau -> permutation (0 2)(1 3), trivial restrictions
 
-with the left-action law g(x w) = g(x) . g|_x(w).  An alternative
-tau = sigma(tau, tau) automaton generates the same group and is available
-behind ``tau_with_restrictions=True`` for A/B checks.
+with the left-action law g(x w) = g(x) . g|_x(w).
 
 Level-n matrices are the 4^n-point permutation representations; the
 finite-level pencil  z1*M(a) + z2*M(t) + z3*M(tau)  is real symmetric and
@@ -30,9 +28,9 @@ The eigenvalues of those blocks, with multiplicity, are exactly the
 eigenvalues of the pencil.  The orbits come from the group action alone
 (not from the nonzero pattern), so zero coefficients need no special case,
 and the split is plain linear algebra on the permutation representation:
-it uses neither the closed-form spectrum nor the DFT.  On both automata
-level n has 2^(n-1) orbits of 2^(n+1) leaves; blocks are grouped by size,
-so nothing depends on that count.
+it uses neither the closed-form spectrum nor the DFT.  Level n has
+2^(n-1) orbits of 2^(n+1) leaves; blocks are grouped by size, so nothing
+depends on that count.
 """
 
 from __future__ import annotations
@@ -77,18 +75,17 @@ _E4 = (IDENTITY, IDENTITY, IDENTITY, IDENTITY)
 _WREATH_A = WreathElement((1, 0, 3, 2), _E4)
 _WREATH_T = WreathElement(_IDENT_PERM, (GEN_A, GEN_T, GEN_A, GEN_T))
 _WREATH_TAU = WreathElement((2, 3, 0, 1), _E4)
-_WREATH_TAU_ALT = WreathElement((2, 3, 0, 1), (GEN_TAU,) * 4)
 _WREATH_ID = WreathElement(_IDENT_PERM, _E4)
 
 
-def generator_wreath(symbol: str, tau_with_restrictions: bool = False) -> WreathElement:
+def generator_wreath(symbol: str) -> WreathElement:
     """Wreath recursion of a generator (letters 0..3)."""
     if symbol == "a":
         return _WREATH_A
     if symbol == "t":
         return _WREATH_T
     if symbol == "tau":
-        return _WREATH_TAU_ALT if tau_with_restrictions else _WREATH_TAU
+        return _WREATH_TAU
     raise ValueError(f"unknown generator {symbol!r}")
 
 
@@ -102,10 +99,8 @@ def wreath_mul(g: WreathElement, h: WreathElement) -> WreathElement:
 class TreeAction:
     """Wreath decompositions for arbitrary group elements, memoized."""
 
-    def __init__(self, tau_with_restrictions: bool = False):
-        self._gen = {
-            s: generator_wreath(s, tau_with_restrictions) for s in ("a", "t", "tau")
-        }
+    def __init__(self):
+        self._gen = {s: generator_wreath(s) for s in ("a", "t", "tau")}
         self._cache: Dict[GroupElement, WreathElement] = {}
         self._levels: Dict[Tuple[GroupElement, int], np.ndarray] = {}
         self._orbits: Dict[int, np.ndarray] = {}
@@ -193,16 +188,9 @@ class TreeAction:
 
 
 _DEFAULT_ACTION = TreeAction()
-_ALT_ACTION = TreeAction(tau_with_restrictions=True)
 
 
-def _action(tau_with_restrictions: bool = False) -> TreeAction:
-    return _ALT_ACTION if tau_with_restrictions else _DEFAULT_ACTION
-
-
-def act_on_word(
-    g: GroupElement, word: Sequence[int] | str, tau_with_restrictions: bool = False
-) -> Tuple[int, ...]:
+def act_on_word(g: GroupElement, word: Sequence[int] | str) -> Tuple[int, ...]:
     """Self-similar action on a word over letters 0..3.
 
     Accepts digit strings for convenience ("132" -> (1, 3, 2))."""
@@ -211,7 +199,7 @@ def act_on_word(
     letters = tuple(int(x) for x in word)
     if any(x < 0 or x > 3 for x in letters):
         raise ValueError("letters must be in 0..3")
-    return _action(tau_with_restrictions).act(g, letters)
+    return _DEFAULT_ACTION.act(g, letters)
 
 
 @dataclass(frozen=True)
@@ -232,22 +220,16 @@ class LevelMatrix:
             yield f"{i} -> {int(image)}"
 
 
-def level_matrix(
-    g: GroupElement, n: int, tau_with_restrictions: bool = False
-) -> LevelMatrix:
-    vec = _action(tau_with_restrictions).level_matrix(g, n)
-    return LevelMatrix(n=n, perm_vector=vec)
+def level_matrix(g: GroupElement, n: int) -> LevelMatrix:
+    return LevelMatrix(n=n, perm_vector=_DEFAULT_ACTION.level_matrix(g, n))
 
 
-def pencil_level_eigs(
-    z1: float, z2: float, z3: float, n: int, tau_with_restrictions: bool = False
-) -> np.ndarray:
+def pencil_level_eigs(z1: float, z2: float, z3: float, n: int) -> np.ndarray:
     """Sorted eigenvalues (with multiplicity) of the level-n pencil
     z1*M(a) + z2*M(t) + z3*M(tau), solved one orbit block at a time."""
     _check_level(n)
-    act = _action(tau_with_restrictions)
-    labels = act.orbit_labels(n)
-    vecs = [act.level_matrix(g, n) for g in (GEN_A, GEN_T, GEN_TAU)]
+    labels = _DEFAULT_ACTION.orbit_labels(n)
+    vecs = [_DEFAULT_ACTION.level_matrix(g, n) for g in (GEN_A, GEN_T, GEN_TAU)]
     # leaves grouped by orbit; local[i] is leaf i's index inside its block
     order = np.argsort(labels, kind="stable")
     _, start, sizes = np.unique(labels[order], return_index=True, return_counts=True)
@@ -271,7 +253,6 @@ def validate_eigs_in_spectrum(
     z3: float,
     n: int,
     tol: float = 1e-8,
-    tau_with_restrictions: bool = False,
 ) -> dict:
     """Check every level-n eigenvalue against the closed-form spectrum.
 
@@ -279,7 +260,7 @@ def validate_eigs_in_spectrum(
     point; violations are collected, and the largest membership margin
     among all eigenvalues is reported as a quality figure.
     """
-    eigs = pencil_level_eigs(z1, z2, z3, n, tau_with_restrictions)
+    eigs = pencil_level_eigs(z1, z2, z3, n)
     points = np.empty((len(eigs), 4), dtype=complex)
     points[:, 0] = -eigs
     points[:, 1:] = (z1, z2, z3)
@@ -315,13 +296,11 @@ def spectrum_slice_intervals(z1: float, z2: float, z3: float):
     return merged
 
 
-def coverage_gap(
-    z1: float, z2: float, z3: float, n: int, tau_with_restrictions: bool = False
-) -> float:
+def coverage_gap(z1: float, z2: float, z3: float, n: int) -> float:
     """One-sided Hausdorff gap from the spectrum slice to the level-n
     eigenvalues: sup over slice points of the distance to the nearest
     eigenvalue."""
-    eigs = pencil_level_eigs(z1, z2, z3, n, tau_with_restrictions)
+    eigs = pencil_level_eigs(z1, z2, z3, n)
     # the distance-to-eigenvalues function is piecewise V-shaped, so its
     # max over each slice interval [lo, hi] sits at an endpoint or at a
     # midpoint of consecutive eigenvalues inside the interval

@@ -149,23 +149,6 @@ def membership(z, tol: float = DEFAULT_TOL) -> MembershipResult:
     return MembershipResult(inside, witnesses, margin)
 
 
-def dinfty_membership(z0, z1, z2, tol: float = DEFAULT_TOL) -> MembershipResult:
-    """Membership for the three-term pencil (z3 = 0).
-
-    The two sign families coincide, so a single witness family is reported.
-    """
-    res = membership(PencilPoint(z0, z1, z2, 0j), tol)
-    seen = set()
-    deduped = []
-    for w in res.witnesses:
-        key = (None if w.x is None else (round(w.x.real, 15), round(w.x.imag, 15)))
-        if key not in seen:
-            seen.add(key)
-            deduped.append(Witness("+", w.x))
-    res.witnesses = deduped
-    return res
-
-
 # ---------------------------------------------------------------------------
 # vectorized grid evaluation
 

@@ -35,10 +35,10 @@ from typing import List, Sequence
 import numpy as np
 
 from . import oracle
-from .errors import BranchJump, LoopHitsSpectrum, NonConvergent, NotDegenerate, OnSpectrum
+from .errors import LoopHitsSpectrum, NotDegenerate, OnSpectrum
 from .group import FunctionalKind
 from .loops import LoopPath
-from .oracle import WORDS, fft_angles, richardson, symbol_integrand
+from .oracle import WORDS, fft_angles, refine, richardson, symbol_integrand
 from .spectrum import PencilPoint, as_point, membership_grid, pencil_scale
 
 SINGULAR_TOL = 1e-12
@@ -198,16 +198,13 @@ def trace_quadrature(
     NonConvergent is raised if they still differ by more once the grid
     reaches ``max_nodes``.
     """
-    n = req.n_nodes
-    prev = _mean_integrand(req, n, formula)
-    while True:
-        n *= 2
-        cur = _mean_integrand(req, n, formula)
-        if abs(cur - prev) <= target:
-            return cur
-        if n >= max_nodes:
-            raise NonConvergent(f"quadrature change {abs(cur - prev):.3e} at {n} nodes")
-        prev = cur
+    return refine(
+        lambda n: _mean_integrand(req, n, formula),
+        req.n_nodes,
+        target,
+        max_nodes,
+        "quadrature",
+    )[1]
 
 
 def trace_coefficients(
@@ -239,15 +236,9 @@ def _unwrapped_log_mean(values: np.ndarray) -> complex:
     G(theta) sweeps a straight segment in C, so it never winds around 0;
     unwrapping only has to repair principal-branch cuts.
     """
-    steps = np.angle(values[1:] / values[:-1])
-    if len(steps) and np.abs(steps).max() >= np.pi / 2:
-        raise _NeedMoreNodes
+    steps = oracle._phase_increments(values, "potential log branch")
     args = np.angle(values[0]) + np.concatenate(([0.0], np.cumsum(steps)))
     return complex(np.mean(np.log(np.abs(values)) + 1j * args))
-
-
-class _NeedMoreNodes(Exception):
-    pass
 
 
 def potential_tr(z, n_nodes: int = 256, max_nodes: int = MAX_UNWRAP_NODES) -> complex:
@@ -256,40 +247,36 @@ def potential_tr(z, n_nodes: int = 256, max_nodes: int = MAX_UNWRAP_NODES) -> co
     The gradient of this potential reproduces the four canonical-trace
     coefficients (exactness of the trace of the resolvent 1-form).
     NonConvergent is raised if two grids still differ by more than 1e-12
-    at ``max_nodes``.
+    at ``max_nodes``; a grid too coarse to unwrap the branch is doubled.
     """
     z = as_point(z)
-    n = max(4, n_nodes)
-    prev = None
-    while True:
+
+    def value_at(n: int) -> complex:
         _, _, _, gm, gp = _parts(z, fft_angles(n))
         _require_offspectrum(z, (gm, gp), "potential_tr")
-        try:
-            cur = 0.25 * _unwrapped_log_mean(gm * gp)
-        except _NeedMoreNodes:
-            n *= 2
-            if n > max_nodes:
-                raise BranchJump("log branch cannot be tracked at max node count")
-            continue
-        if prev is not None and abs(cur - prev) <= 1e-12:
-            return cur
-        if n >= max_nodes:
-            raise NonConvergent(f"potential not settled to 1e-12 at {n} nodes")
-        prev = cur
-        n *= 2
+        return 0.25 * _unwrapped_log_mean(gm * gp)
+
+    return refine(value_at, max(4, n_nodes), 1e-12, max_nodes, "potential")[1]
+
+
+def central_difference(f, z, i: int, step: float):
+    """(f(z + h e_i) - f(z - h e_i)) / 2h in the real direction of coordinate i."""
+    zp = np.array(z, dtype=complex)
+    zm = zp.copy()
+    zp[i] += step
+    zm[i] -= step
+    return (f(zp) - f(zm)) / (2 * step)
 
 
 def potential_gradient(z, step: float = 1e-5, n_nodes: int = 256) -> np.ndarray:
     """Central-difference gradient of the potential in the four real
     coordinate directions (holomorphy recovers the complex derivative)."""
-    z = np.asarray(as_point(z).as_array())
-    grad = np.empty(4, dtype=complex)
-    for i in range(4):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += step
-        zm[i] -= step
-        grad[i] = (potential_tr(zp, n_nodes) - potential_tr(zm, n_nodes)) / (2 * step)
-    return grad
+    z = as_point(z).as_array()
+
+    def potential(zi):
+        return potential_tr(zi, n_nodes)
+
+    return np.array([central_difference(potential, z, i, step) for i in range(4)])
 
 
 def closedness_residual(
@@ -304,15 +291,13 @@ def closedness_residual(
     Central differences in the real direction of each coordinate; all
     stencil points must stay off-spectrum.
     """
-    z = np.asarray(as_point(z).as_array())
-    dc = np.empty((4, 4), dtype=complex)  # dc[i, j] = d_i c_j
-    for i in range(4):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += step
-        zm[i] -= step
-        cp = trace_coefficients(zp, functional, n_nodes, formula)
-        cm = trace_coefficients(zm, functional, n_nodes, formula)
-        dc[i] = (cp - cm) / (2 * step)
+    z = as_point(z).as_array()
+
+    def coeffs(zi):
+        return trace_coefficients(zi, functional, n_nodes, formula)
+
+    # dc[i, j] = d_i c_j
+    dc = np.array([central_difference(coeffs, z, i, step) for i in range(4)])
     return np.abs(dc - dc.T)
 
 
@@ -360,17 +345,13 @@ def loop_coefficients(
     Nodes double until two grids agree to ``target`` at every sample;
     NonConvergent is raised once the grid reaches ``max_nodes`` without.
     """
-    n = n_nodes
-    prev = _coefficient_batch(Z, functional, n)
-    while True:
-        n *= 2
-        cur = _coefficient_batch(Z, functional, n)
-        change = np.abs(cur - prev).max()
-        if change <= target:
-            return cur
-        if n >= max_nodes:
-            raise NonConvergent(f"loop coefficients changed by {change:.3e} at {n} nodes")
-        prev = cur
+    return refine(
+        lambda n: _coefficient_batch(Z, functional, n),
+        n_nodes,
+        target,
+        max_nodes,
+        "loop coefficients",
+    )[1]
 
 
 def _loop_margin_check(Z: np.ndarray, name: str) -> None:
@@ -418,19 +399,9 @@ def loop_period(
         # periodic trapezoid of c(z(s)) . z'(s): geometric convergence
         return complex((coeffs * dz).sum(axis=1).mean())
 
-    prev = value_at(n)
-    while True:
-        n *= 2
-        cur = value_at(n)
-        if abs(cur - prev) <= residual_target:
-            value = richardson(prev, cur)
-            break
-        if n >= max_steps:
-            raise NonConvergent(
-                f"period on {loop.name} changed by {abs(cur - prev):.3e} at {n} steps"
-            )
-        prev = cur
-
+    value = richardson(
+        *refine(value_at, n, residual_target, max_steps, f"period on {loop.name}")
+    )
     quantum = QUANTA[kind]
     nearest = int(round((value / quantum).real))
     residual = abs(value - nearest * quantum)

@@ -223,6 +223,33 @@ class TestUsageErrors:
             main(["membership", "--z", "1", "2", "3", "nope"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["tree", "--level", "-1"], "level must be nonnegative"),
+            (
+                ["trace", "--z", "1", "8", "4", "2", "--method", "oracle", "--N", "1"],
+                "truncation size N must be at least 2",
+            ),
+            (
+                ["trace", "--z", "1", "8", "4", "2", "--n-nodes", "15"],
+                "n_nodes must be even and at least 4",
+            ),
+            (["period", "--loop", "L1", "--steps", "4"], "a loop needs at least 8 steps"),
+            (
+                ["slice", "--axes", "z0", "z1", "--fixed", "0", "0", "--grid", "0", "0"],
+                "raster grid must be at least 2x2",
+            ),
+        ],
+        ids=["tree-level", "trace-N", "trace-nodes", "period-steps", "slice-grid"],
+    )
+    def test_invalid_value_exits_1(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"dinfh: error: {message}\n"
+        assert "Traceback" not in err
+
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 

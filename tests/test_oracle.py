@@ -5,7 +5,9 @@ import pytest
 
 from dinfh import loops, oracle
 from dinfh.errors import (
+    BranchJump,
     LoopHitsSpectrum,
+    NonConvergent,
     OnSpectrum,
     SingularTruncation,
     TruncationTooLarge,
@@ -22,6 +24,7 @@ from dinfh.oracle import (
     oracle_trace,
     pencil_matrix,
     pencil_symbol,
+    refine,
     richardson,
     symbol_integrand,
     word_integrands,
@@ -274,6 +277,67 @@ class TestOracleTraces:
         assert abs(refined - truth) < abs(coarse - truth)
 
 
+def scripted(values):
+    """fn(n) returning (or raising) values[i] at its i-th call; records n."""
+    calls = []
+
+    def fn(n):
+        calls.append(n)
+        value = values[len(calls) - 1]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    return fn, calls
+
+
+class TestRefine:
+    def test_returns_first_agreeing_pair(self):
+        fn, calls = scripted([1.0, 0.5, 0.4, 0.4 + 1e-9, 0.0])
+        assert refine(fn, 4, 1e-6, 1024, "toy") == (0.4, 0.4 + 1e-9)
+        assert calls == [4, 8, 16, 32]
+
+    def test_arrays_compare_by_largest_change(self):
+        first, second = np.array([0.0, 1.0]), np.array([1e-9, 1.0 - 1e-3])
+        fn, calls = scripted([first, second, second + 1e-9])
+        coarse, fine = refine(fn, 8, 1e-6, 1024, "toy")
+        assert coarse is second
+        assert calls == [8, 16, 32]
+
+    @pytest.mark.parametrize("n_max, last", [(16, 16), (20, 32)])
+    def test_no_grid_past_the_first_comparison_at_n_max(self, n_max, last):
+        fn, calls = scripted([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        with pytest.raises(NonConvergent):
+            refine(fn, 4, 1e-6, n_max, "toy")
+        assert calls[-1] == last
+
+    def test_nonconvergent_reports_change_history(self):
+        fn, _ = scripted([0.0, 0.5, 0.75, 0.875])
+        with pytest.raises(NonConvergent) as exc:
+            refine(fn, 4, 1e-6, 16, "toy")
+        assert str(exc.value) == (
+            "toy not settled to 1e-06: changes 5.000e-01 at 8, 2.500e-01 at 16"
+        )
+
+    def test_first_grid_at_n_max_is_still_compared(self):
+        fn, calls = scripted([1.0, 1.0])
+        assert refine(fn, 64, 1e-6, 16, "toy") == (1.0, 1.0)
+        assert calls == [64, 128]
+
+    def test_branch_jump_doubles_without_comparison(self):
+        fn, calls = scripted([BranchJump("coarse"), 2.0, BranchJump("again"), 2.0])
+        assert refine(fn, 4, 1e-6, 64, "toy") == (2.0, 2.0)
+        # the grid after a jump is compared with the last grid that unwrapped
+        assert calls == [4, 8, 16, 32]
+
+    def test_branch_jump_propagates_past_n_max(self):
+        # a jump at n_max would need a grid past it: the jump itself propagates
+        fn, calls = scripted([BranchJump("at 4"), 1.0, BranchJump("at 16"), 1.0])
+        with pytest.raises(BranchJump, match="at 16"):
+            refine(fn, 4, 1e-6, 16, "toy")
+        assert calls == [4, 8, 16]
+
+
 class TestSymbol:
     def test_symbol_determinant_is_g_product(self, rng):
         from dinfh.spectrum import g_values
@@ -323,6 +387,13 @@ class TestOraclePeriods:
         bad = loops.circle_loop([1.0, 0, 0, 1.5], 0.5, ["z0"], name="bad")
         with pytest.raises(LoopHitsSpectrum):
             oracle_period(bad, "tr", N=8, steps=64)
+
+    def test_twisted_nonconvergent_at_step_cap(self):
+        # off the spectrum at z0 = 0 by 0.01: 16 -> 32 steps change the
+        # period by ~20, so a 32-step cap must raise, not return
+        near = loops.circle_loop([1.0, 0, 0, 0], 0.99, ["z0"], steps=8, name="near")
+        with pytest.raises(NonConvergent, match="oracle period on near .* at 32$"):
+            oracle_period(near, "phitr", N=8, max_steps=32)
 
     def test_twisted_loop_through_spectrum_rejected(self):
         bad = loops.circle_loop([1.0, 0, 0, 1.5], 0.5, ["z0"], name="bad")

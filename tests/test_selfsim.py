@@ -14,6 +14,7 @@ from dinfh.group import (
 )
 from dinfh.selfsim import (
     MAX_LEVEL,
+    TreeAction,
     WreathElement,
     act_on_word,
     coverage_gap,
@@ -25,7 +26,7 @@ from dinfh.selfsim import (
     validate_eigs_in_spectrum,
     wreath_mul,
 )
-from dinfh.spectrum import PencilPoint, membership
+from dinfh.spectrum import PencilPoint, membership, membership_grid
 
 GENS = {"a": GEN_A, "t": GEN_T, "tau": GEN_TAU}
 
@@ -35,13 +36,21 @@ GENS = {"a": GEN_A, "t": GEN_T, "tau": GEN_TAU}
 # validate_eigs_in_spectrum and coverage_gap replaced
 
 
-def pencil_level_matrix(z1, z2, z3, n, tau_with_restrictions=False):
+def alt_tau_action():
+    """The alternative automaton tau = sigma(tau, tau): it generates the same
+    group as tau = sigma but is a different permutation of the tree."""
+    action = TreeAction()
+    action._gen["tau"] = WreathElement((2, 3, 0, 1), (GEN_TAU,) * 4)
+    return action
+
+
+def pencil_level_matrix(z1, z2, z3, n, action=selfsim._DEFAULT_ACTION):
     """Dense symmetric matrix z1*M(a) + z2*M(t) + z3*M(tau) at level n."""
     size = 4**n
     M = np.zeros((size, size))
     cols = np.arange(size)
     for coeff, gen in ((z1, GEN_A), (z2, GEN_T), (z3, GEN_TAU)):
-        M[level_matrix(gen, n, tau_with_restrictions).perm_vector, cols] += coeff
+        M[action.level_matrix(gen, n), cols] += coeff
     return M
 
 
@@ -276,7 +285,7 @@ class TestLevelMatrix:
         with pytest.raises(LevelTooLarge):
             level_matrix(GEN_A, MAX_LEVEL + 1)
         with pytest.raises(LevelTooLarge):
-            level_matrix(GEN_U, MAX_LEVEL + 1, tau_with_restrictions=True)
+            alt_tau_action().level_matrix(GEN_U, MAX_LEVEL + 1)
         with pytest.raises(ValueError):
             level_matrix(GEN_A, -1)
 
@@ -289,7 +298,7 @@ class TestLevelMatrix:
 class TestOrbits:
     @pytest.mark.parametrize("alt", [False, True])
     def test_partition(self, alt):
-        action = selfsim._action(alt)
+        action = alt_tau_action() if alt else selfsim._DEFAULT_ACTION
         for n in range(1, MAX_LEVEL + 1):
             labels = action.orbit_labels(n)
             leaves = np.arange(4**n)
@@ -318,10 +327,15 @@ class TestOrbits:
 
     @pytest.mark.parametrize("alt", [False, True])
     def test_blocks_match_dense(self, rng, alt):
+        # the automata differ only in how tau moves the order-two letters y
+        # (the first, or all of them); either way M(tau) acts on y alone with
+        # eigenvalues +-1, 2^(n-1) times each, and a, t act on x alone, so the
+        # alternative dense pencil has the same eigenvalues
+        action = alt_tau_action() if alt else selfsim._DEFAULT_ACTION
         for z in seeded_pencils(rng, 12):
             for n in range(1, 6):
-                eigs = pencil_level_eigs(*z, n, alt)
-                dense = np.linalg.eigvalsh(pencil_level_matrix(*z, n, alt))
+                eigs = pencil_level_eigs(*z, n)
+                dense = np.linalg.eigvalsh(pencil_level_matrix(*z, n, action))
                 assert len(eigs) == 4**n
                 assert np.abs(eigs - dense).max() <= 1e-12 * max(
                     1.0, np.linalg.norm(z)
@@ -395,14 +409,27 @@ class TestValidation:
         assert out["violations"] == []
 
     def test_alternative_tau_automaton(self):
-        base = validate_eigs_in_spectrum(1, 1, 0.5, 3)
-        alt = validate_eigs_in_spectrum(1, 1, 0.5, 3, tau_with_restrictions=True)
-        assert base["violations"] == alt["violations"] == []
+        action = alt_tau_action()
+        assert validate_eigs_in_spectrum(1, 1, 0.5, 3)["violations"] == []
+        eigs = np.linalg.eigvalsh(pencil_level_matrix(1, 1, 0.5, 3, action))
+        points = np.array([(-lam, 1, 1, 0.5) for lam in eigs], dtype=complex)
+        assert membership_grid(points, tol=1e-8)[1].all()
         # the two automata differ as permutations but generate the same group
         assert not np.array_equal(
-            level_matrix(GEN_TAU, 2).perm_vector,
-            level_matrix(GEN_TAU, 2, tau_with_restrictions=True).perm_vector,
+            level_matrix(GEN_TAU, 2).perm_vector, action.level_matrix(GEN_TAU, 2)
         )
+
+    def test_alternative_tau_relations(self):
+        action = alt_tau_action()
+        for n in (1, 2, 3, 4):
+            ident = np.arange(4**n)
+            mats = {s: action.level_matrix(g, n) for s, g in GENS.items()}
+            for v in mats.values():
+                assert np.array_equal(v[v], ident)
+            assert np.array_equal(mats["a"][mats["tau"]], mats["tau"][mats["a"]])
+            assert np.array_equal(mats["t"][mats["tau"]], mats["tau"][mats["t"]])
+            u = action.level_matrix(GEN_U, n)
+            assert np.array_equal(u, mats["a"][mats["t"]])
 
 
 class TestCoverage:

@@ -7,7 +7,7 @@ from dinfh.errors import DegeneratePencil, InvalidPlane
 from dinfh.spectrum import (
     PencilPoint,
     RasterPlane,
-    dinfty_membership,
+    Witness,
     g_values,
     membership,
     membership_grid,
@@ -18,6 +18,23 @@ from dinfh.spectrum import (
 )
 
 P = PencilPoint(1, 8, 4, 2)
+
+
+def dinfty_membership(z0, z1, z2):
+    """Membership for the three-term pencil (z3 = 0).
+
+    The two sign families coincide, so a single witness family is reported.
+    """
+    res = membership(PencilPoint(z0, z1, z2, 0j))
+    seen = set()
+    deduped = []
+    for w in res.witnesses:
+        key = (None if w.x is None else (round(w.x.real, 15), round(w.x.imag, 15)))
+        if key not in seen:
+            seen.add(key)
+            deduped.append(Witness("+", w.x))
+    res.witnesses = deduped
+    return res
 
 real_coords = st.floats(-3, 3, allow_nan=False)
 real_points = st.tuples(real_coords, real_coords, real_coords, real_coords)

@@ -256,6 +256,13 @@ class TestPeriods:
         with pytest.raises(LoopHitsSpectrum):
             loop_period(bad, "tr", steps=64)
 
+    def test_nonconvergent_at_step_cap(self):
+        # off the spectrum at z0 = 0 by 0.01: 16 -> 32 steps change the
+        # period by ~20, so a 32-step cap must raise, not return
+        near = loops.circle_loop([1.0, 0, 0, 0], 0.99, ["z0"], steps=8, name="near")
+        with pytest.raises(NonConvergent, match="period on near .* at 32$"):
+            loop_period(near, "tr", max_steps=32)
+
     @pytest.mark.parametrize("functional", ["tr", "phitr"])
     def test_doubling_reuses_coarse_coefficients(self, monkeypatch, functional):
         rows = []
