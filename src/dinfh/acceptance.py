@@ -141,8 +141,7 @@ def criterion_4(config: RunConfig) -> CriterionResult:
     quad_tr_e = traces.trace_quadrature(
         traces.TraceRequest(P_POINT, "tr", "e", config.default_n_nodes)
     )
-    # one truncation, one LU: the trace reads the full inverse, phi~ solves
-    # against the same factors
+    # one truncation: the trace factors both tau halves, phi~ reuses P-
     pencil = oracle.pencil_matrix(P_POINT, config.default_N)
     oracle_tr_e = oracle.oracle_trace(pencil, "e")
     quad_phi_a = traces.trace_quadrature(

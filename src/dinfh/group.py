@@ -148,10 +148,6 @@ class AlgebraElement:
                     data[g] = data.get(g, 0) + c
         self.coeffs = {g: c for g, c in data.items() if abs(c) >= PRUNE_TOL}
 
-    @classmethod
-    def from_word(cls, text: str, coeff: complex = 1.0) -> "AlgebraElement":
-        return cls({parse_word(text): coeff})
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         data = dict(self.coeffs)
         for g, c in other.coeffs.items():

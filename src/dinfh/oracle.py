@@ -18,16 +18,22 @@ the truncation's singular values are those of the 2N blocks, and
 normalized traces of (pencil^-1 * word) are the N-node trapezoid rule of
 closed-form rational functions of G+- (the *true* trace integrands).
 
-The dense route (assembled matrix, LU, slogdet; N <= MAX_DENSE_N) is the
+The dense route (assembled matrix, N <= MAX_DENSE_N) is the
 boundary-effect-free adjudicator of membership margins, trace formulas
 and loop periods; the tau-parity 2x2 split is the fast path that serves
-the membership sweeps, quadratures and loop coefficients.
+the membership sweeps, quadratures and loop coefficients.  The dense
+traces and periods use only the tau block structure of the assembled
+matrix: every word commutes with the tau block swap Q, so in 2N blocks
+P = [[E, F], [F, E]] and P is similar to diag(P+, P-) with P+- = E +- F.
+One 1-form kernel, ``_half_form``, evaluates both functionals on
+P^-1 P(dz) from LU factorizations of those halves; it uses neither the
+DFT nor the 2x2 symbol, so it stays independent of the fast path.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -41,7 +47,7 @@ from .spectrum import PencilPoint, as_point
 WORDS = ("e", "a", "t", "tau")
 
 LU_PIVOT_TOL = 1e-12
-# the dense truncation stores a (4N)^2 complex matrix and its inverse
+# the dense truncation stores a (4N)^2 complex matrix and LUs of its two halves
 MAX_DENSE_N = 1024
 
 # block positions of tau (cosets e <-> tau, t <-> tau*t)
@@ -84,35 +90,43 @@ def word_permutation(word: str, N: int) -> np.ndarray:
     return sigma
 
 
+def _tau_half(matrix: np.ndarray, sign: int) -> np.ndarray:
+    """P+ = E + F (sign 1) or P- = E - F (sign -1) of P = [[E, F], [F, E]].
+
+    The tau block swap Q maps the first 2N basis vectors (cosets e, t) onto
+    the last 2N (tau, tau*t); every word matrix commutes with Q, so any
+    assembled truncation has this 2N-block form, with P U = U P+ for
+    U = [I; I] and P V = V P- for V = [I; -I].
+    """
+    half = matrix.shape[0] // 2
+    return matrix[:half, :half] + sign * matrix[:half, half:]
+
+
 @dataclass
 class CirculantPencil:
-    """Dense 4N x 4N truncation with a cached LU factorization."""
+    """Dense 4N x 4N truncation with cached LU factorizations of its halves."""
 
     N: int
     z: PencilPoint
     matrix: np.ndarray
 
-    _lu: tuple | None = None
-    _inverse: np.ndarray | None = None
+    _lu: dict = field(default_factory=dict)
 
-    def lu(self):
-        if self._lu is None:
+    def lu(self, sign: int):
+        """LU of the tau half P+ (sign 1) or P- (sign -1), factored once."""
+        if sign not in self._lu:
             with warnings.catch_warnings():
                 # singular factorizations surface as SingularTruncation
                 warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu, piv = scipy.linalg.lu_factor(self.matrix, check_finite=False)
+                lu, piv = scipy.linalg.lu_factor(
+                    _tau_half(self.matrix, sign), overwrite_a=True, check_finite=False
+                )
             if np.abs(np.diag(lu)).min() < LU_PIVOT_TOL:
                 raise SingularTruncation(
                     f"pencil truncation at N={self.N} is numerically singular"
                 )
-            self._lu = (lu, piv)
-        return self._lu
-
-    def inverse(self) -> np.ndarray:
-        if self._inverse is None:
-            eye = np.eye(4 * self.N, dtype=complex)
-            self._inverse = scipy.linalg.lu_solve(self.lu(), eye, check_finite=False)
-        return self._inverse
+            self._lu[sign] = (lu, piv)
+        return self._lu[sign]
 
 
 def pencil_matrix(z, N: int) -> CirculantPencil:
@@ -279,37 +293,50 @@ def margin_grid(points: np.ndarray, N: int, chunk: int = 512) -> np.ndarray:
 # oracle traces
 
 
-def _gathered_trace(Pinv: np.ndarray, sigma: np.ndarray, N: int) -> complex:
-    idx = np.arange(4 * N)
-    return complex(Pinv[idx, sigma[idx]].sum())
+def _half_form(pencil: CirculantPencil, dz, kind: FunctionalKind) -> complex:
+    """The functional on P^-1 X, X = P(dz), from the tau halves it needs.
+
+    X has P's block form, so with U, V as in ``_tau_half``,
+    Tr(P^-1 X) = Tr(P+^-1 X+) + Tr(P-^-1 X-), and as Q - I = -V V^T,
+    phi~(P^-1 X) = (1/4N) Tr(P^-1 X (Q - I)) = -(1/2N) Tr(P-^-1 X-).
+    Each half trace is one 2N-column solve against that half's LU; phi~
+    never factors P+.  A one-hot dz gives a word's oracle value; along a
+    loop, dz = z'(s) gives the period's 1-form.
+    """
+    if kind is FunctionalKind.CANONICAL_TRACE:
+        signs, scale = (1, -1), 1.0 / (4 * pencil.N)
+    else:
+        signs, scale = (-1,), -1.0 / (2 * pencil.N)
+    tangent = pencil_matrix(dz, pencil.N).matrix
+    total = 0j
+    for sign in signs:
+        Y = scipy.linalg.lu_solve(
+            pencil.lu(sign), _tau_half(tangent, sign), overwrite_b=True, check_finite=False
+        )
+        total += complex(np.trace(Y))
+    return total * scale
+
+
+def oracle_functional(z_or_pencil, word: str, functional, N: int | None = None) -> complex:
+    """The functional on pencil^-1 * word matrix: the word's one-hot tangent."""
+    if word not in WORDS:
+        raise ValueError(f"unknown word {word!r}")
+    kind = FunctionalKind.coerce(functional)
+    pencil = _as_pencil(z_or_pencil, N)
+    # phi~ reads P- alone but is defined only where all of P is invertible:
+    # P+ is factored too, so a singular truncation raises for both functionals
+    pencil.lu(1)
+    return _half_form(pencil, [float(w == word) for w in WORDS], kind)
 
 
 def oracle_trace(z_or_pencil, word: str, N: int | None = None) -> complex:
     """(1/4N) * trace(pencil^-1 * word matrix)."""
-    pencil = _as_pencil(z_or_pencil, N)
-    Pinv = pencil.inverse()
-    sigma = word_permutation(word, pencil.N)
-    return _gathered_trace(Pinv, sigma, pencil.N) / (4 * pencil.N)
+    return oracle_functional(z_or_pencil, word, FunctionalKind.CANONICAL_TRACE, N)
 
 
 def oracle_phitr(z_or_pencil, word: str, N: int | None = None) -> complex:
-    """Twisted functional phi~(pencil^-1 * word matrix).
-
-    The word's one-hot tangent in ``_twisted_form``: phi~(X) =
-    -(1/4N) Tr(V^T X V) with V = [I; -I], so one 2N-column solve against
-    the pencil's LU gives it, without the full inverse.
-    """
-    if word not in WORDS:
-        raise ValueError(f"unknown word {word!r}")
-    pencil = _as_pencil(z_or_pencil, N)
-    return _twisted_form(pencil, [float(w == word) for w in WORDS])
-
-
-def oracle_functional(z_or_pencil, word: str, functional, N: int | None = None) -> complex:
-    kind = FunctionalKind.coerce(functional)
-    if kind is FunctionalKind.CANONICAL_TRACE:
-        return oracle_trace(z_or_pencil, word, N)
-    return oracle_phitr(z_or_pencil, word, N)
+    """Twisted functional phi~(pencil^-1 * word matrix)."""
+    return oracle_functional(z_or_pencil, word, FunctionalKind.PHI_TENSOR_TRACE, N)
 
 
 def richardson(coarse: complex, fine: complex) -> complex:
@@ -368,28 +395,6 @@ def _check_loop_margins(Z: np.ndarray, N: int, loop_name: str) -> None:
         )
 
 
-def _tangent_columns(dz, N: int) -> np.ndarray:
-    """P(dz) V = P(dz)[:, :2N] - P(dz)[:, 2N:], scattered like pencil_matrix."""
-    half = 2 * N
-    out = np.zeros((4 * N, half), dtype=complex, order="F")
-    cols = np.arange(half)
-    for word, c in zip(WORDS, dz):
-        if c != 0:
-            sigma = word_permutation(word, N)
-            out[sigma[:half], cols] += c
-            out[sigma[half:], cols] -= c
-    return out
-
-
-def _twisted_form(pencil: CirculantPencil, dz) -> complex:
-    """phi~(P^-1 P(dz)) = -(1/4N) Tr(V^T P^-1 P(dz) V) by a 2N-column solve."""
-    half = 2 * pencil.N
-    Y = scipy.linalg.lu_solve(
-        pencil.lu(), _tangent_columns(dz, pencil.N), overwrite_b=True, check_finite=False
-    )
-    return complex(np.trace(Y[half:]) - np.trace(Y[:half])) / (4 * pencil.N)
-
-
 def oracle_period(
     loop: LoopPath,
     functional,
@@ -400,45 +405,23 @@ def oracle_period(
 ) -> complex:
     """Loop period from the finite truncation.
 
-    Canonical trace: continuously tracked increment of log det of the
-    truncated pencil around the loop, divided by 4N.  Twisted functional:
-    trapezoid integral of the oracle coefficient 1-form, one Richardson
-    refinement, with step doubling until stable.
-
-    The twisted 1-form is evaluated from two exact identities.  The pencil
-    is linear in z, P(z) = sum_w z_w W_w, so on a tangent dz the 1-form is
-    sum_w dz_w phi~(P^-1 W_w) = phi~(P^-1 P(dz)).  And phi~(X) =
-    (1/4N) Tr(X (Q - I)) with Q the tau block swap, where Q - I = -V V^T for
-    V = [I; -I] (4N x 2N).  So each sample costs one LU of the assembled
-    truncation and one solve against the 2N columns P(dz) V, instead of the
-    full inverse and four word traces.  Both identities are algebra on the
-    functional and on how P is assembled; neither uses the DFT or the
-    tau-parity split, so this route stays independent of the fast path.
+    One path for both functionals: the trapezoid integral of the oracle
+    1-form along the loop, with step doubling through ``refine`` until two
+    grids agree to ``residual_target``, then one Richardson step.  The
+    pencil is linear in z, P(z) = sum_w z_w W_w, so on a tangent dz the
+    1-form is the functional on P^-1 P(dz), which ``_half_form`` takes
+    from LUs of the tau halves of the assembled truncation.  That uses
+    only how P and the functionals are built from the tau block swap,
+    neither the DFT nor the tau-parity symbol, so this route stays
+    independent of the fast path.  A phase unwrap of det P would need no
+    comparison but aliases: the phase turns 64 times around L1 at N = 32,
+    so coarse samples can pass the unwrap check with a wrong integer.
     Sample values are reused across step doublings, keyed on the exact
     bytes of (z_j, dz_j): with an analytic derivative the even points of
     the 2n grid are bitwise the n grid; spectral derivatives never match.
     """
     kind = FunctionalKind.coerce(functional)
     n = loop.steps if steps is None else int(steps)
-    if kind is FunctionalKind.CANONICAL_TRACE:
-        while True:
-            Z = loop.samples(n)
-            _check_loop_margins(Z, N, loop.name)
-            signs = np.empty(len(Z), dtype=complex)
-            logabs = np.empty(len(Z))
-            for j, zj in enumerate(Z):
-                sign, ld = np.linalg.slogdet(pencil_matrix(zj, N).matrix)
-                signs[j], logabs[j] = sign, ld
-            try:
-                dphi = _phase_increments(signs, f"logdet along {loop.name}")
-            except BranchJump:
-                n *= 2
-                if n > max_steps:
-                    raise
-                continue
-            total = (logabs[-1] - logabs[0]) + 1j * dphi.sum()
-            return complex(total) / (4 * N)
-
     cache: dict[bytes, complex] = {}
 
     def value_at(nsteps: int) -> complex:
@@ -449,7 +432,7 @@ def oracle_period(
         for j, (zj, dzj) in enumerate(zip(Z, dz)):
             key = zj.tobytes() + dzj.tobytes()
             if key not in cache:
-                cache[key] = _twisted_form(pencil_matrix(zj, N), dzj)
+                cache[key] = _half_form(pencil_matrix(zj, N), dzj, kind)
             vals[j] = cache[key]
         # periodic trapezoid of the coefficient 1-form along the loop
         return complex(vals.mean())

@@ -86,6 +86,16 @@ class TestPeriodCommand:
         assert payload["nearest"] == -2
         assert payload["residual"] <= 1e-6
 
+    def test_oracle_canonical_on_coarse_grid(self, capsys):
+        # 64 steps alias the 64 turns of det P around L1 at N = 32
+        code, out, _ = run_cli(
+            capsys, "period", "--loop", "L1", "--method", "oracle", "--steps", "64"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["nearest"] == 2
+        assert payload["residual"] <= 1e-6
+
     def test_inline_loop(self, capsys):
         desc = json.dumps(
             {

@@ -78,12 +78,21 @@ def reference_integrand(z, word, functional, thetas):
     return apply_functional(X, functional)
 
 
+def reference_trace(pencil, word):
+    """(1/4N) * trace(pencil^-1 * word matrix), gathered from the full inverse."""
+    n = pencil.N
+    Pinv = np.linalg.inv(pencil.matrix)
+    sigma = word_permutation(word, n)
+    idx = np.arange(4 * n)
+    return complex(Pinv[idx, sigma[idx]].sum()) / (4 * n)
+
+
 def reference_phitr(pencil, word):
     """Twisted functional of pencil^-1 * word from the full inverse:
     -(1/4N) * the diagonal block traces of X plus (1/4N) * its (1,3),
     (2,4), (3,1), (4,2) block traces, X = pencil^-1 * word matrix."""
     n = pencil.N
-    Pinv = pencil.inverse()
+    Pinv = np.linalg.inv(pencil.matrix)
     sigma = word_permutation(word, n)
     m = np.arange(n)
     total = 0j
@@ -95,6 +104,21 @@ def reference_phitr(pencil, word):
         cols = sigma[bj * n + m]
         total += Pinv[rows, cols].sum()
     return complex(total) / (4 * n)
+
+
+def reference_canonical_period(loop, N, steps, max_steps=2**13):
+    """Increment of log det of the full truncation around the loop, / 4N:
+    slogdet at every sample, phase unwrapped on the first grid whose
+    principal phase steps all stay below pi/2."""
+    n = steps
+    while n <= max_steps:
+        Z = loop.samples(n)
+        signs, logabs = zip(*(np.linalg.slogdet(pencil_matrix(zj, N).matrix) for zj in Z))
+        dphi = np.angle(np.array(signs[1:]) / np.array(signs[:-1]))
+        if np.abs(dphi).max() < np.pi / 2:
+            return complex(logabs[-1] - logabs[0] + 1j * dphi.sum()) / (4 * N)
+        n *= 2
+    raise AssertionError(f"reference log det on {loop.name} did not unwrap")
 
 
 def reference_twisted_period(loop, N, steps, residual_target=1e-6):
@@ -143,6 +167,15 @@ class TestPencilMatrix:
         expect[4:6, 0:2] = np.eye(2)
         expect[6:8, 2:4] = np.eye(2)
         assert np.array_equal(mat, expect)
+
+    @pytest.mark.parametrize("N", [2, 5, 16])
+    def test_tau_swap_block_form(self, rng, N):
+        # P = [[E, F], [F, E]] in 2N blocks: what the dense traces rely on
+        for z in random_offspectrum_points(rng, 3):
+            M = pencil_matrix(z, N).matrix
+            h = 2 * N
+            assert np.array_equal(M[h:, h:], M[:h, :h])
+            assert np.array_equal(M[h:, :h], M[:h, h:])
 
     def test_word_matrices_are_involutions(self):
         for word in ("a", "t", "tau"):
@@ -227,6 +260,14 @@ class TestOracleTraces:
                 for word in WORDS:
                     assert abs(oracle_phitr(pencil, word) - reference_phitr(pencil, word)) <= 1e-12
 
+    def test_trace_matches_full_inverse(self, rng):
+        points = [P, (2, 0, 0, 1)] + random_offspectrum_points(rng, 3)
+        for z in points:
+            for N in (16, 64):
+                pencil = pencil_matrix(z, N)
+                for word in WORDS:
+                    assert abs(oracle_trace(pencil, word) - reference_trace(pencil, word)) <= 1e-12
+
     def test_phitr_unknown_word(self):
         with pytest.raises(ValueError):
             oracle_phitr(P, "u", 8)
@@ -234,6 +275,13 @@ class TestOracleTraces:
     def test_singular_truncation(self):
         with pytest.raises(SingularTruncation):
             oracle_trace((1, 1, 0, 0), "e", 8)
+
+    def test_phitr_raises_where_only_p_plus_is_singular(self):
+        # z0 + z3 = |z1| = 1 makes every P+ block singular; P- is invertible
+        z = (0.75, 1.0, 0.0, 0.25)
+        assert np.linalg.svd(pencil_matrix(z, 8).matrix, compute_uv=False)[-1] < 1e-12
+        with pytest.raises(SingularTruncation):
+            oracle_phitr(z, "e", 8)
 
     def test_dense_size_cap(self):
         # raised before the (4N)^2 matrix is allocated
@@ -375,6 +423,13 @@ class TestOraclePeriods:
         val = oracle_period(loops.loop_L1(), "tr", N=32)
         assert val == pytest.approx(1j * math.pi, abs=1e-6)
 
+    @pytest.mark.parametrize("steps", [16, 64])
+    def test_L1_canonical_on_coarse_grids(self, steps):
+        # det P turns 64 times around L1 at N = 32: a phase unwrap of
+        # coarse samples aliased this to 0
+        val = oracle_period(loops.loop_L1(), "tr", N=32, steps=steps)
+        assert abs(val - 1j * math.pi) <= 1e-6
+
     def test_L1_twisted(self):
         val = oracle_period(loops.loop_L1(), "phitr", N=16, steps=128)
         assert val == pytest.approx(-2j * math.pi, abs=1e-6)
@@ -394,6 +449,10 @@ class TestOraclePeriods:
         near = loops.circle_loop([1.0, 0, 0, 0], 0.99, ["z0"], steps=8, name="near")
         with pytest.raises(NonConvergent, match="oracle period on near .* at 32$"):
             oracle_period(near, "phitr", N=8, max_steps=32)
+        # the canonical trace compares grids too, instead of returning the
+        # first grid it can unwrap
+        with pytest.raises(NonConvergent, match="oracle period on near .* at 32$"):
+            oracle_period(near, "tr", N=8, max_steps=32)
 
     def test_twisted_loop_through_spectrum_rejected(self):
         bad = loops.circle_loop([1.0, 0, 0, 1.5], 0.5, ["z0"], name="bad")
@@ -405,21 +464,32 @@ class TestOraclePeriods:
         val = oracle_period(loop, "phitr", N=16, steps=128)
         assert abs(val - reference_twisted_period(loop, 16, 128)) <= 1e-12
 
+    @pytest.mark.parametrize("loop", TWISTED_LOOPS, ids=lambda lp: lp.name)
+    def test_canonical_matches_full_slogdet_reference(self, loop):
+        val = oracle_period(loop, "tr", N=16)
+        assert abs(val - reference_canonical_period(loop, 16, loop.steps)) <= 1e-12
+
     @pytest.mark.parametrize(
-        "loop, lu_calls",
+        "loop, samples",
         # analytic dz: the coarse grid is the even half of the fine one;
         # spectral dz changes with the grid, so nothing is reused
         [(loops.loop_L1(), 256), (loops.LoopPath(loops.loop_L1().fn), 128 + 256)],
         ids=["analytic", "spectral"],
     )
-    def test_twisted_samples_reused_across_doublings(self, monkeypatch, loop, lu_calls):
+    def test_twisted_samples_reused_across_doublings(self, monkeypatch, loop, samples):
+        # one LU per tau half a functional needs: P- for phi~, P+ and P- for Tr
         calls = []
         lu = oracle.CirculantPencil.lu
         monkeypatch.setattr(
-            oracle.CirculantPencil, "lu", lambda self: calls.append(1) or lu(self)
+            oracle.CirculantPencil,
+            "lu",
+            lambda self, sign: calls.append(sign) or lu(self, sign),
         )
         oracle_period(loop, "phitr", N=16, steps=128)
-        assert len(calls) == lu_calls
+        assert calls == [-1] * samples
+        calls.clear()
+        oracle_period(loop, "tr", N=16, steps=128)
+        assert calls == [1, -1] * samples
 
 
 # grid angles and off-grid angles
