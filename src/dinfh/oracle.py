@@ -32,6 +32,7 @@ DFT nor the 2x2 symbol, so it stays independent of the fast path.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -58,12 +59,16 @@ _TAU_BLOCKS = ((0, 2), (1, 3), (2, 0), (3, 1))
 # dense truncation
 
 
+@functools.lru_cache(maxsize=64)
 def word_permutation(word: str, N: int) -> np.ndarray:
     """Image map sigma of the word's permutation matrix: W[sigma(i), i] = 1.
 
     Basis: index b*N + m with block b in 0..3 (cosets e, t, tau, tau*t) and
-    m the cyclic-shift coordinate.
+    m the cyclic-shift coordinate.  Cached per (word, N), read-only; N is
+    capped at MAX_DENSE_N, so the cache holds at most 64 * 32 KiB.
     """
+    if N > MAX_DENSE_N:
+        raise TruncationTooLarge(f"dense truncation N={N} exceeds {MAX_DENSE_N}")
     m = np.arange(N)
     up = (m + 1) % N
     down = (m - 1) % N
@@ -87,6 +92,7 @@ def word_permutation(word: str, N: int) -> np.ndarray:
         sigma[3 * N + m] = 1 * N + m
     else:
         raise ValueError(f"unknown word {word!r}")
+    sigma.setflags(write=False)
     return sigma
 
 

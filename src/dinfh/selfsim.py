@@ -31,6 +31,19 @@ and the split is plain linear algebra on the permutation representation:
 it uses neither the closed-form spectrum nor the DFT.  Level n has
 2^(n-1) orbits of 2^(n+1) leaves; blocks are grouped by size, so nothing
 depends on that count.
+
+Many orbit blocks are the same matrix: a block is fixed by where each
+generator sends each of its leaves, in the block's local numbering, and
+that (a, t, tau) pattern repeats across orbits (at levels 1-6 all 2^(n-1)
+orbits share one).  ``TreeAction.orbit_blocks`` reduces the orbits of a
+level to their distinct patterns and counts once; ``pencil_level_eigs``
+solves each distinct block once and repeats its eigenvalues by its count,
+so every eigenvalue's multiplicity comes from the block counts.  Identical
+matrices have identical eigenvalues, so this is exact whatever the
+spectrum; another automaton would only give more patterns.
+
+Cached level vectors, orbit labels and orbit blocks are read-only, so a
+caller cannot change what later calls return.
 """
 
 from __future__ import annotations
@@ -104,6 +117,7 @@ class TreeAction:
         self._cache: Dict[GroupElement, WreathElement] = {}
         self._levels: Dict[Tuple[GroupElement, int], np.ndarray] = {}
         self._orbits: Dict[int, np.ndarray] = {}
+        self._blocks: Dict[int, Tuple[Tuple[np.ndarray, np.ndarray], ...]] = {}
 
     def _wreath_pow_u(self, k: int) -> WreathElement:
         # square-and-multiply on u = a*t (u^-1 = t*a); powers of u commute,
@@ -165,6 +179,7 @@ class TreeAction:
             for x in range(4):
                 sub = self.level_matrix(wr.restrictions[x], n - 1)
                 vec[x * block : (x + 1) * block] = wr.perm[x] * block + sub
+        vec.setflags(write=False)
         self._levels[key] = vec
         return vec
 
@@ -183,8 +198,41 @@ class TreeAction:
             if np.array_equal(new, lab):
                 break
             lab = new
+        lab.setflags(write=False)
         self._orbits[n] = lab
         return lab
+
+    def orbit_blocks(self, n: int) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        """Distinct orbit blocks of the level-n generators, by block size.
+
+        One ``(rows, counts)`` pair per orbit size s: ``rows[j, g, c]`` is the
+        local index, inside its orbit, of the image of the orbit's c-th leaf
+        under generator g (a, t, tau), for the j-th distinct pattern, and
+        ``counts[j]`` is the number of orbits with that pattern.
+        """
+        cached = self._blocks.get(n)
+        if cached is not None:
+            return cached
+        labels = self.orbit_labels(n)
+        vecs = [self.level_matrix(g, n) for g in (GEN_A, GEN_T, GEN_TAU)]
+        # leaves grouped by orbit; local[i] is leaf i's index inside its block
+        order = np.argsort(labels, kind="stable")
+        _, start, sizes = np.unique(
+            labels[order], return_index=True, return_counts=True
+        )
+        local = np.empty_like(order)
+        local[order] = np.arange(len(order)) - np.repeat(start, sizes)
+        blocks = []
+        for s in np.unique(sizes):
+            # (k, s): the leaves of the k orbits of size s, block by block
+            leaves = order[start[sizes == s][:, None] + np.arange(s)]
+            rows = np.stack([local[vec[leaves]] for vec in vecs], axis=1)
+            rows, counts = np.unique(rows, axis=0, return_counts=True)
+            rows.setflags(write=False)
+            counts.setflags(write=False)
+            blocks.append((rows, counts))
+        self._blocks[n] = tuple(blocks)
+        return self._blocks[n]
 
 
 _DEFAULT_ACTION = TreeAction()
@@ -226,24 +274,16 @@ def level_matrix(g: GroupElement, n: int) -> LevelMatrix:
 
 def pencil_level_eigs(z1: float, z2: float, z3: float, n: int) -> np.ndarray:
     """Sorted eigenvalues (with multiplicity) of the level-n pencil
-    z1*M(a) + z2*M(t) + z3*M(tau), solved one orbit block at a time."""
+    z1*M(a) + z2*M(t) + z3*M(tau), solved once per distinct orbit block."""
     _check_level(n)
-    labels = _DEFAULT_ACTION.orbit_labels(n)
-    vecs = [_DEFAULT_ACTION.level_matrix(g, n) for g in (GEN_A, GEN_T, GEN_TAU)]
-    # leaves grouped by orbit; local[i] is leaf i's index inside its block
-    order = np.argsort(labels, kind="stable")
-    _, start, sizes = np.unique(labels[order], return_index=True, return_counts=True)
-    local = np.empty_like(order)
-    local[order] = np.arange(len(order)) - np.repeat(start, sizes)
     eigs = []
-    for s in np.unique(sizes):
-        # (k, s): the leaves of the k orbits of size s, block by block
-        leaves = order[start[sizes == s][:, None] + np.arange(s)]
-        blocks = np.zeros((len(leaves), s, s))
-        k, cols = np.ogrid[: len(leaves), :s]
-        for coeff, vec in zip((z1, z2, z3), vecs):
-            blocks[k, local[vec[leaves]], cols] += coeff
-        eigs.append(np.linalg.eigvalsh(blocks).ravel())
+    for rows, counts in _DEFAULT_ACTION.orbit_blocks(n):
+        p, _, s = rows.shape
+        blocks = np.zeros((p, s, s))
+        k, cols = np.ogrid[:p, :s]
+        for g, coeff in enumerate((z1, z2, z3)):
+            blocks[k, rows[:, g], cols] += coeff
+        eigs.append(np.repeat(np.linalg.eigvalsh(blocks), counts, axis=0).ravel())
     return np.sort(np.concatenate(eigs))
 
 

@@ -45,6 +45,16 @@ def word_matrix(word, N):
     return W
 
 
+def uncached_pencil_matrix(z, N):
+    """pencil_matrix's assembly with freshly built word permutations."""
+    mat = np.zeros((4 * N, 4 * N), dtype=complex)
+    cols = np.arange(4 * N)
+    for word, c in zip(WORDS, z):
+        if c != 0 or word == "e":
+            mat[word_permutation.__wrapped__(word, N), cols] += c
+    return mat
+
+
 def word_symbol(word, thetas):
     """Symbol of a word at angles theta: shape (len(thetas), 4, 4)."""
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -176,6 +186,28 @@ class TestPencilMatrix:
             h = 2 * N
             assert np.array_equal(M[h:, h:], M[:h, :h])
             assert np.array_equal(M[h:, :h], M[:h, h:])
+
+    @pytest.mark.parametrize("N", [2, 5, 32])
+    def test_cached_permutations_assemble_the_same_matrix(self, rng, N):
+        points = random_offspectrum_points(rng, 3) + [(1.0, 0.0, -2.0, 0.0)]
+        for _ in range(2):
+            # the second pass reads every permutation from the cache
+            for z in points:
+                assert np.array_equal(
+                    pencil_matrix(z, N).matrix, uncached_pencil_matrix(z, N)
+                )
+
+    def test_cached_permutation_is_read_only(self):
+        sigma = word_permutation("a", 4)
+        with pytest.raises(ValueError):
+            sigma[0] = 7
+        assert word_permutation("a", 4) is sigma
+        assert np.array_equal(sigma, word_permutation.__wrapped__("a", 4))
+
+    def test_permutation_size_cap(self):
+        # the cache holds at most 64 permutations of at most 4 * MAX_DENSE_N
+        with pytest.raises(TruncationTooLarge):
+            word_permutation("a", MAX_DENSE_N + 1)
 
     def test_word_matrices_are_involutions(self):
         for word in ("a", "t", "tau"):

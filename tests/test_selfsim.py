@@ -54,6 +54,28 @@ def pencil_level_matrix(z1, z2, z3, n, action=selfsim._DEFAULT_ACTION):
     return M
 
 
+def reference_level_eigs(z1, z2, z3, n):
+    """The per-orbit loop pencil_level_eigs replaced: every orbit block is
+    built and factored, and the orbit bookkeeping is redone per call."""
+    labels = selfsim._DEFAULT_ACTION.orbit_labels(n)
+    vecs = [selfsim._DEFAULT_ACTION.level_matrix(g, n) for g in (GEN_A, GEN_T, GEN_TAU)]
+    # leaves grouped by orbit; local[i] is leaf i's index inside its block
+    order = np.argsort(labels, kind="stable")
+    _, start, sizes = np.unique(labels[order], return_index=True, return_counts=True)
+    local = np.empty_like(order)
+    local[order] = np.arange(len(order)) - np.repeat(start, sizes)
+    eigs = []
+    for s in np.unique(sizes):
+        # (k, s): the leaves of the k orbits of size s, block by block
+        leaves = order[start[sizes == s][:, None] + np.arange(s)]
+        blocks = np.zeros((len(leaves), s, s))
+        k, cols = np.ogrid[: len(leaves), :s]
+        for coeff, vec in zip((z1, z2, z3), vecs):
+            blocks[k, local[vec[leaves]], cols] += coeff
+        eigs.append(np.linalg.eigvalsh(blocks).ravel())
+    return np.sort(np.concatenate(eigs))
+
+
 def scalar_validation(z1, z2, z3, n, tol=1e-8):
     violations = []
     max_margin = 0.0
@@ -289,6 +311,22 @@ class TestLevelMatrix:
         with pytest.raises(ValueError):
             level_matrix(GEN_A, -1)
 
+    def test_cached_vectors_are_read_only(self):
+        vec = level_matrix(GEN_A, 2).perm_vector
+        before = vec.copy()
+        with pytest.raises(ValueError):
+            vec[0] = 7
+        assert np.array_equal(level_matrix(GEN_A, 2).perm_vector, before)
+        labels = selfsim._DEFAULT_ACTION.orbit_labels(2)
+        with pytest.raises(ValueError):
+            labels[0] = 7
+        assert selfsim._DEFAULT_ACTION.orbit_labels(2)[0] == 0
+        for rows, counts in selfsim._DEFAULT_ACTION.orbit_blocks(2):
+            with pytest.raises(ValueError):
+                rows[0, 0, 0] = 7
+            with pytest.raises(ValueError):
+                counts[0] = 7
+
     def test_dump_format(self):
         lines = list(level_matrix(GEN_A, 1).dump_lines())
         assert lines[0] == "0 -> 1"
@@ -343,6 +381,53 @@ class TestOrbits:
 
     def test_zero_pencil(self):
         assert np.array_equal(pencil_level_eigs(0, 0, 0, 3), np.zeros(64))
+
+    @pytest.mark.parametrize("alt", [False, True])
+    def test_block_counts(self, alt):
+        action = alt_tau_action() if alt else selfsim._DEFAULT_ACTION
+        for n in range(0, MAX_LEVEL + 1):
+            blocks = action.orbit_blocks(n)
+            leaves = 0
+            for rows, counts in blocks:
+                p, gens, s = rows.shape
+                assert gens == 3 and len(counts) == p
+                # each generator permutes the leaves of each orbit
+                assert np.all(np.sort(rows, axis=2) == np.arange(s))
+                assert len(np.unique(rows, axis=0)) == p
+                leaves += s * counts.sum()
+            assert leaves == 4**n
+            orbits = sum(counts.sum() for _, counts in blocks)
+            assert orbits == (2 ** (n - 1) if n else 1)
+
+    def test_bitwise_equal_to_per_orbit_loop(self, rng):
+        points = seeded_pencils(rng, 18) + [
+            (0.0, 0.0, 0.0),
+            (1.5, -0.5, 0.0),
+            (-1.5, 0.5, 0.0),
+            (0.0, -1.0, 2.0),
+            (-0.7, 0.0, -1.1),
+        ]
+        assert any(z[0] < 0 for z in points) and any(z[0] > 0 for z in points)
+        assert any(z[1] < 0 for z in points) and any(z[1] > 0 for z in points)
+        for n in range(0, MAX_LEVEL + 1):
+            for z in points:
+                eigs = pencil_level_eigs(*z, n)
+                ref = reference_level_eigs(*z, n)
+                # bit patterns, so signed zeros count too
+                assert np.array_equal(eigs.view(np.uint64), ref.view(np.uint64))
+
+    def test_level_6_factors_one_block(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        eigs = pencil_level_eigs(1, 1, 0.5, 6)
+        assert shapes == [(1, 128, 128)]
+        assert len(eigs) == 4**6
 
 
 class TestLevelEigs:
