@@ -27,11 +27,6 @@ class NonConvergent(DinfhError):
     """Raised when node/step doubling fails to stabilise a quadrature."""
 
 
-class BranchJump(DinfhError):
-    """Raised when phase unwrapping cannot be made continuous even at the
-    maximum node count."""
-
-
 class LoopHitsSpectrum(DinfhError):
     """Raised when a sampled loop point fails the off-spectrum check."""
 

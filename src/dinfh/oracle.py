@@ -21,9 +21,11 @@ closed-form rational functions of G+- (the *true* trace integrands).
 The dense route (assembled matrix, N <= MAX_DENSE_N) is the
 boundary-effect-free adjudicator of membership margins, trace formulas
 and loop periods; the tau-parity 2x2 split is the fast path that serves
-the membership sweeps, quadratures and loop coefficients.  The dense
-traces and periods use only the tau block structure of the assembled
-matrix: every word commutes with the tau block swap Q, so in 2N blocks
+the membership sweeps and quadratures, and its exact circle means
+(``circle_means``, by the residue theorem) give the loop coefficients and
+the potential with no quadrature at all.  The dense traces and periods
+use only the tau block structure of the assembled matrix: every word
+commutes with the tau block swap Q, so in 2N blocks
 P = [[E, F], [F, E]] and P is similar to diag(P+, P-) with P+- = E +- F.
 One 1-form kernel, ``_half_form``, evaluates both functionals on
 P^-1 P(dz) from LU factorizations of those halves; it uses neither the
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import BranchJump, LoopHitsSpectrum, NonConvergent, OnSpectrum
+from .errors import LoopHitsSpectrum, NonConvergent, OnSpectrum
 from .errors import SingularTruncation, TruncationTooLarge
 from .group import FunctionalKind
 from .loops import LoopPath
@@ -226,6 +228,39 @@ def word_integrands(Z, functional, thetas) -> tuple:
     return -dm * rm, pa * rm, pt * rm, dm * rm
 
 
+def circle_means(Z) -> tuple:
+    """Exact circle means of the tau-parity symbols for points Z of (..., 4).
+
+    Each block determinant is G(theta) = A - B cos(theta), with
+    A+- = (z0 +- z3)^2 - z1^2 - z2^2 and B = 2 z1 z2.  Take r = sqrt(A^2 - B^2)
+    with the sign that makes |A + r| >= |A - r|, f = (A + r)/2, and
+    zeta = B/(2f), the root of G inside the unit disc in exp(i theta).  Then
+    G = f (1 - zeta e^{i theta})(1 - zeta e^{-i theta}), and by the residue
+    theorem mean 1/G = 1/r, mean cos/G = zeta/r and mean log G = log f
+    (mod 2 pi i).  (zeta/r, not (A/r - 1)/B, which cancels; B = 0 gives
+    f = A and zeta = 0.)  Returns (f, inv, cos): the arrays f, 1/r and
+    zeta/r, each of shape (2, ...) with block + first.  OnSpectrum is raised
+    where f = 0 or |zeta| >= 1, exactly where a block vanishes on the circle.
+    """
+    Z = np.asarray(Z, dtype=complex)
+    z0, z1, z2, z3 = (Z[..., i] for i in range(4))
+    d = np.stack([z0 + z3, z0 - z3])
+    A = d * d - (z1 * z1 + z2 * z2)
+    B = 2.0 * z1 * z2
+    # r^2 = A^2 - B^2 = G(0) G(pi), each a difference of squares in factored
+    # form, so r keeps its relative accuracy near the spectrum
+    p, m = z1 + z2, z1 - z2
+    r = np.sqrt((d - p) * (d + p) * (d - m) * (d + m))
+    r = np.where(np.abs(A + r) >= np.abs(A - r), r, -r)
+    f = 0.5 * (A + r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zeta = B / (2.0 * f)
+    if not (f.all() and (np.abs(zeta) < 1.0).all()):
+        raise OnSpectrum("a symbol block vanishes on the circle")
+    inv = 1.0 / r
+    return f, inv, zeta * inv
+
+
 def symbol_integrand(z, word: str, functional, thetas) -> np.ndarray:
     """Pointwise trace integrand of one word defined by the pencil symbol.
 
@@ -356,18 +391,10 @@ def refine(fn, n: int, target: float, n_max: int, what: str) -> tuple:
     Returns (coarse, fine) at the first pair with max |fine - coarse| <=
     ``target`` (scalars or arrays).  NonConvergent, with the history of
     changes, is raised once a comparison at n >= ``n_max`` still misses.
-    A BranchJump from ``fn`` doubles n without a comparison and propagates
-    once n exceeds ``n_max``.
     """
     coarse, history = None, []
     while True:
-        try:
-            fine = fn(n)
-        except BranchJump:
-            n *= 2
-            if n > n_max:
-                raise
-            continue
+        fine = fn(n)
         if coarse is not None:
             change = float(np.max(np.abs(fine - coarse)))
             if change <= target:
@@ -383,14 +410,6 @@ def refine(fn, n: int, target: float, n_max: int, what: str) -> tuple:
 
 # ---------------------------------------------------------------------------
 # oracle loop periods
-
-
-def _phase_increments(values: np.ndarray, what: str) -> np.ndarray:
-    """Principal phase steps of consecutive unit complex numbers."""
-    steps = np.angle(values[1:] / values[:-1])
-    if np.abs(steps).max() >= np.pi / 2:
-        raise BranchJump(f"{what}: phase step >= pi/2, need more samples")
-    return steps
 
 
 def _check_loop_margins(Z: np.ndarray, N: int, loop_name: str) -> None:

@@ -301,10 +301,13 @@ def validate_eigs_in_spectrum(
     among all eigenvalues is reported as a quality figure.
     """
     eigs = pencil_level_eigs(z1, z2, z3, n)
-    points = np.empty((len(eigs), 4), dtype=complex)
-    points[:, 0] = -eigs
+    # eigenvalues repeat (2^(n-1) times at levels 1-6): check each value once
+    distinct, where = np.unique(eigs, return_inverse=True)
+    points = np.empty((len(distinct), 4), dtype=complex)
+    points[:, 0] = -distinct
     points[:, 1:] = (z1, z2, z3)
     margin, inside = membership_grid(points, tol=tol)
+    margin, inside = margin[where], inside[where]
     violations: List[dict] = [
         {"eigenvalue": float(lam), "margin": float(m)}
         for lam, m in zip(eigs[~inside], margin[~inside])

@@ -110,43 +110,28 @@ def solve_x(z) -> List[Tuple[str, complex]]:
     ]
 
 
-def _segment_distance(x: complex) -> float:
-    """Distance from a complex number to the real segment [-1, 1]."""
-    re = min(1.0, max(-1.0, x.real))
-    return abs(x - re)
-
-
 def membership(z, tol: float = DEFAULT_TOL) -> MembershipResult:
     """Closed-form membership test with a normalized margin.
 
     For z1*z2 away from zero, z is in the spectrum iff one root x^{+-} is
     real (|Im x| <= tol) with |Re x| <= 1 + tol; ties at |x| = 1 count as
-    inside (the union over x in [-1,1] is closed).
+    inside (the union over x in [-1,1] is closed).  The verdict and margin
+    are ``membership_grid`` at the one point; the witnesses are the roots,
+    or in the x-independent branch the families whose symbol vanishes.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     z = as_point(z)
+    margin, inside = membership_grid(z.as_array()[None, :], tol)
     scale = pencil_scale(z)
-    p2 = 2.0 * z.z1 * z.z2
-    s = z.z1 * z.z1 + z.z2 * z.z2
-    a_minus = (z.z0 - z.z3) ** 2 - s
-    a_plus = (z.z0 + z.z3) ** 2 - s
-
     if abs(z.z1 * z.z2) < DEGENERATE_CUTOFF * scale:
-        margin = min(abs(a_minus), abs(a_plus)) / scale
-        inside = margin <= tol
-        witnesses = []
-        for sign, val in (("-", a_minus), ("+", a_plus)):
-            if abs(val) <= tol * scale:
-                witnesses.append(Witness(sign, None))
-        return MembershipResult(inside, witnesses, margin)
-
-    witnesses = [Witness(sign, x) for sign, x in solve_x(z)]
-    inside = any(
-        abs(w.x.imag) <= tol and abs(w.x.real) <= 1.0 + tol for w in witnesses
-    )
-    margin = min(abs(p2) * _segment_distance(w.x) for w in witnesses) / scale
-    return MembershipResult(inside, witnesses, margin)
+        s = z.z1 * z.z1 + z.z2 * z.z2
+        witnesses = [
+            Witness(sign, None)
+            for sign, d in (("-", z.z0 - z.z3), ("+", z.z0 + z.z3))
+            if abs(d**2 - s) <= tol * scale
+        ]
+    else:
+        witnesses = [Witness(sign, x) for sign, x in solve_x(z)]
+    return MembershipResult(bool(inside[0]), witnesses, float(margin[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +141,10 @@ def membership(z, tol: float = DEFAULT_TOL) -> MembershipResult:
 def membership_grid(points: np.ndarray, tol: float = DEFAULT_TOL):
     """Vectorized ``membership`` over an (n, 4) array of pencil points.
 
-    Returns (margin, in_spectrum) arrays.  Matches the scalar routine
-    branch for branch; used by rasters and the large acceptance sweeps.
+    Returns (margin, in_spectrum) arrays.  For z1*z2 below DEGENERATE_CUTOFF
+    (relative) the symbols do not depend on x and the margin is
+    min |G^+-| / scale; otherwise it is the scaled distance of the roots x
+    from [-1, 1].
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

@@ -1,8 +1,15 @@
 """Trace integrands of the resolvent 1-form, potentials, and loop periods.
 
 Every coefficient of the scalar 1-forms  Tr(R^-1 dR)  and  phi~(R^-1 dR)
-is an integral  (1/2pi) int_0^{2pi} f(theta) dtheta  of a trace integrand.
-Two evaluation routes are provided:
+is an integral  (1/2pi) int_0^{2pi} f(theta) dtheta  of a trace integrand,
+a rational function of the tau-parity symbols G^+-(theta) = A^+- - B cos.
+Those circle integrals have exact closed forms (``oracle.circle_means``,
+by the residue theorem): ``loop_coefficients`` and ``potential_tr`` are
+evaluated from them, with no quadrature.
+
+The trapezoid quadrature (``trace_quadrature``, ``trace_coefficients``)
+is the independent route that the closed forms are checked against, and
+the only route for the tabulated integrands:
 
 * ``formula="symbol"`` (default): the pointwise symbol route from
   :mod:`dinfh.oracle` - closed-form rational functions of G^+- from the
@@ -19,10 +26,11 @@ Two evaluation routes are provided:
 The canonical-trace 1-form is exact: it is d of the potential
 
     (1/8pi) int_0^{2pi} log( G^-_theta(z) * G^+_theta(z) ) dtheta
+        = (1/4) log(f^+ f^-)  (mod pi*i/2)
 
-with the log branch unwrapped continuously in theta.  Both 1-forms are
-closed with nonzero periods; the period lattice is quantized by pi*i/2
-(canonical trace) and pi*i (twisted functional).
+with the log branch continuous in theta.  Both 1-forms are closed with
+nonzero periods; the period lattice is quantized by pi*i/2 (canonical
+trace) and pi*i (twisted functional).
 """
 
 from __future__ import annotations
@@ -44,7 +52,6 @@ from .spectrum import PencilPoint, as_point, membership_grid, pencil_scale
 SINGULAR_TOL = 1e-12
 NEAR_DEGENERATE_TOL = 1e-9
 MAX_NODES = 2**14
-MAX_UNWRAP_NODES = 2**17
 
 QUANTA = {
     FunctionalKind.CANONICAL_TRACE: 0.5j * math.pi,
@@ -230,33 +237,22 @@ def trace_coefficients(
 # potential and closedness
 
 
-def _unwrapped_log_mean(values: np.ndarray) -> complex:
-    """Mean of log(values) with the imaginary part unwrapped along the grid.
-
-    G(theta) sweeps a straight segment in C, so it never winds around 0;
-    unwrapping only has to repair principal-branch cuts.
-    """
-    steps = oracle._phase_increments(values, "potential log branch")
-    args = np.angle(values[0]) + np.concatenate(([0.0], np.cumsum(steps)))
-    return complex(np.mean(np.log(np.abs(values)) + 1j * args))
-
-
-def potential_tr(z, n_nodes: int = 256, max_nodes: int = MAX_UNWRAP_NODES) -> complex:
+def potential_tr(z) -> complex:
     """(1/8pi) int log(G^- G^+) dtheta, branch-continuous in theta.
 
-    The gradient of this potential reproduces the four canonical-trace
-    coefficients (exactness of the trace of the resolvent 1-form).
-    NonConvergent is raised if two grids still differ by more than 1e-12
-    at ``max_nodes``; a grid too coarse to unwrap the branch is doubled.
+    Exact: the real part is (1/4) log|f^+ f^-| (``oracle.circle_means``).
+    The branch starts from the principal log of G^- G^+ at theta = 0 and
+    follows theta; G(theta) = f (1 - zeta e^{i theta})(1 - zeta e^{-i theta})
+    with |zeta| < 1, so the mean argument of each block lies within pi of
+    Arg G(0) and equals Arg G(0) + Arg(f / G(0)).  The gradient of this
+    potential reproduces the four canonical-trace coefficients (exactness
+    of the trace of the resolvent 1-form).
     """
     z = as_point(z)
-
-    def value_at(n: int) -> complex:
-        _, _, _, gm, gp = _parts(z, fft_angles(n))
-        _require_offspectrum(z, (gm, gp), "potential_tr")
-        return 0.25 * _unwrapped_log_mean(gm * gp)
-
-    return refine(value_at, max(4, n_nodes), 1e-12, max_nodes, "potential")[1]
+    f, _, _ = oracle.circle_means(z.as_array())
+    _, _, _, gm0, gp0 = _parts(z, 0.0)
+    arg = np.angle(gm0 * gp0) + np.angle(f / np.array([gp0, gm0])).sum()
+    return complex(0.25 * np.log(np.abs(f)).sum(), 0.25 * arg)
 
 
 def central_difference(f, z, i: int, step: float):
@@ -268,15 +264,11 @@ def central_difference(f, z, i: int, step: float):
     return (f(zp) - f(zm)) / (2 * step)
 
 
-def potential_gradient(z, step: float = 1e-5, n_nodes: int = 256) -> np.ndarray:
+def potential_gradient(z, step: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of the potential in the four real
     coordinate directions (holomorphy recovers the complex derivative)."""
     z = as_point(z).as_array()
-
-    def potential(zi):
-        return potential_tr(zi, n_nodes)
-
-    return np.array([central_difference(potential, z, i, step) for i in range(4)])
+    return np.array([central_difference(potential_tr, z, i, step) for i in range(4)])
 
 
 def closedness_residual(
@@ -326,32 +318,30 @@ class PeriodReport:
         }
 
 
-def _coefficient_batch(Z: np.ndarray, functional, n: int) -> np.ndarray:
-    """All four 1-form coefficients at every sample: n-node trapezoid
-    means of the split integrands, shape (len(Z), 4)."""
-    vals = oracle.word_integrands(Z, functional, fft_angles(n))
-    return np.stack([v.mean(axis=-1) for v in vals], axis=-1)
+def loop_coefficients(Z: np.ndarray, functional) -> np.ndarray:
+    """The four 1-form coefficients (words e, a, t, tau) at every sample.
 
-
-def loop_coefficients(
-    Z: np.ndarray,
-    functional,
-    n_nodes: int = 64,
-    target: float = 1e-9,
-    max_nodes: int = 4096,
-) -> np.ndarray:
-    """Adaptive batched coefficients along loop samples.
-
-    Nodes double until two grids agree to ``target`` at every sample;
-    NonConvergent is raised once the grid reaches ``max_nodes`` without.
+    Exact: the circle means of ``oracle.word_integrands`` read off term by
+    term from ``oracle.circle_means`` (per block, mean 1/G = 1/r and
+    mean cos/G = zeta/r); shape (len(Z), 4).  phi~ reads only block -.
     """
-    return refine(
-        lambda n: _coefficient_batch(Z, functional, n),
-        n_nodes,
-        target,
-        max_nodes,
-        "loop coefficients",
-    )[1]
+    kind = FunctionalKind.coerce(functional)
+    Z = np.asarray(Z, dtype=complex)
+    _, inv, cos = oracle.circle_means(Z)
+    z0, z1, z2, z3 = Z.T
+    if kind is FunctionalKind.CANONICAL_TRACE:
+        ep, em = (z0 + z3) * inv[0], (z0 - z3) * inv[1]
+        s1, sc = inv.sum(axis=0), cos.sum(axis=0)
+        coeffs = (
+            0.5 * (ep + em),
+            -0.5 * (z1 * s1 + z2 * sc),
+            -0.5 * (z1 * sc + z2 * s1),
+            0.5 * (ep - em),
+        )
+    else:
+        em = (z0 - z3) * inv[1]
+        coeffs = -em, z1 * inv[1] + z2 * cos[1], z1 * cos[1] + z2 * inv[1], em
+    return np.stack(coeffs, axis=-1)
 
 
 def _loop_margin_check(Z: np.ndarray, name: str) -> None:
@@ -365,7 +355,6 @@ def _loop_margin_check(Z: np.ndarray, name: str) -> None:
 def loop_period(
     loop: LoopPath,
     functional,
-    n_nodes: int = 64,
     steps: int | None = None,
     residual_target: float = 1e-6,
     max_steps: int = 2**13,
@@ -373,28 +362,18 @@ def loop_period(
     """Contour integral of the coefficient 1-form around a closed loop.
 
     Trapezoid in the loop parameter with one Richardson refinement; steps
-    double until two grids agree to ``residual_target``, and each doubling
-    computes coefficients only at its new samples (the reused ones are
-    converged to the 1e-9 of ``loop_coefficients``).  The expected
+    double until two grids agree to ``residual_target``.  The coefficients
+    at the samples are the exact ``loop_coefficients``.  The expected
     period lattice unit (pi*i/2 or pi*i) and the residual against its
     nearest integer multiple are reported.
     """
     kind = FunctionalKind.coerce(functional)
     n = loop.steps if steps is None else int(steps)
-    # coefficient rows by the exact bytes of their sample: the even points
-    # of a doubled grid are bitwise the previous grid
-    cache: dict[bytes, np.ndarray] = {}
 
     def value_at(nsteps: int) -> complex:
         Z = loop.samples(nsteps)
         _loop_margin_check(Z, loop.name)
-        Z = Z[:-1]
-        keys = [z.tobytes() for z in Z]
-        fresh = [j for j, key in enumerate(keys) if key not in cache]
-        if fresh:
-            rows = loop_coefficients(Z[fresh], kind, n_nodes)
-            cache.update((keys[j], row) for j, row in zip(fresh, rows))
-        coeffs = np.array([cache[key] for key in keys])
+        coeffs = loop_coefficients(Z[:-1], kind)
         dz = loop.derivatives(nsteps)
         # periodic trapezoid of c(z(s)) . z'(s): geometric convergence
         return complex((coeffs * dz).sum(axis=1).mean())
@@ -427,9 +406,7 @@ def _integer_rank(rows: List[List[int]]) -> int:
     return rank
 
 
-def class_independence(
-    loops: Sequence[LoopPath], n_nodes: int = 64
-) -> dict:
+def class_independence(loops: Sequence[LoopPath]) -> dict:
     """Period matrix of both 1-forms over a family of loops.
 
     Row 1: canonical-trace periods, row 2: twisted-functional periods.
@@ -445,7 +422,7 @@ def class_independence(
         for i, kind in enumerate(
             (FunctionalKind.CANONICAL_TRACE, FunctionalKind.PHI_TENSOR_TRACE)
         ):
-            rep = loop_period(loop, kind, n_nodes=n_nodes)
+            rep = loop_period(loop, kind)
             periods[i, j] = rep.value
             integers[i][j] = rep.nearest_multiple
             residuals[i, j] = rep.residual

@@ -5,7 +5,6 @@ import pytest
 
 from dinfh import loops, oracle
 from dinfh.errors import (
-    BranchJump,
     LoopHitsSpectrum,
     NonConvergent,
     OnSpectrum,
@@ -16,10 +15,12 @@ from dinfh.group import FunctionalKind
 from dinfh.oracle import (
     MAX_DENSE_N,
     WORDS,
+    circle_means,
     fft_angles,
     margin_grid,
     membership_margin,
     oracle_period,
+    parity_blocks,
     oracle_phitr,
     oracle_trace,
     pencil_matrix,
@@ -404,19 +405,6 @@ class TestRefine:
         assert refine(fn, 64, 1e-6, 16, "toy") == (1.0, 1.0)
         assert calls == [64, 128]
 
-    def test_branch_jump_doubles_without_comparison(self):
-        fn, calls = scripted([BranchJump("coarse"), 2.0, BranchJump("again"), 2.0])
-        assert refine(fn, 4, 1e-6, 64, "toy") == (2.0, 2.0)
-        # the grid after a jump is compared with the last grid that unwrapped
-        assert calls == [4, 8, 16, 32]
-
-    def test_branch_jump_propagates_past_n_max(self):
-        # a jump at n_max would need a grid past it: the jump itself propagates
-        fn, calls = scripted([BranchJump("at 4"), 1.0, BranchJump("at 16"), 1.0])
-        with pytest.raises(BranchJump, match="at 16"):
-            refine(fn, 4, 1e-6, 16, "toy")
-        assert calls == [4, 8, 16]
-
 
 class TestSymbol:
     def test_symbol_determinant_is_g_product(self, rng):
@@ -612,3 +600,61 @@ class TestParitySplit:
         for kind in FunctionalKind:
             with pytest.raises(OnSpectrum):
                 symbol_integrand(z, "e", kind, fft_angles(4))
+
+
+# G = A - B cos(theta) with A - B = 2^-13 + 2^-30 exactly: |zeta| = 0.989
+NEAR_UNIT_ZETA = (2.0 + 2.0**-15, 1.0, 1.0, 0.0)
+
+
+def trapezoid_means(z, n=2**16):
+    """n-node trapezoid means of 1/G, cos/G and log|G| per tau block."""
+    th = fft_angles(n)
+    dp, dm, w, wbar = parity_blocks(z, th)
+    G = np.stack([dp * dp - w * wbar, dm * dm - w * wbar])
+    return (1.0 / G).mean(-1), (np.cos(th) / G).mean(-1), np.log(np.abs(G)).mean(-1)
+
+
+class TestCircleMeans:
+    def test_match_fine_trapezoid(self, rng):
+        # split_test_points cycles through z0 = +-z3, z1 = 0 and z2 = 0
+        pts = list(split_test_points(rng, 10)) + [np.array(NEAR_UNIT_ZETA, complex)]
+        _, inv, cos = circle_means(NEAR_UNIT_ZETA)
+        assert 0.98 < abs(cos[0] / inv[0]) < 0.99  # zeta = (mean cos/G) / (mean 1/G)
+        for z in pts:
+            f, inv, cos = circle_means(z)
+            ref_inv, ref_cos, ref_log = trapezoid_means(z)
+            scale = max(np.abs(ref_inv).max(), 1.0)
+            assert np.abs(inv - ref_inv).max() <= 1e-12 * scale
+            assert np.abs(cos - ref_cos).max() <= 1e-12 * scale
+            assert np.abs(np.log(np.abs(f)) - ref_log).max() <= 1e-12
+
+    def test_batched_shape(self, rng):
+        pts = split_test_points(rng, 6)
+        f, inv, cos = circle_means(pts)
+        assert f.shape == inv.shape == cos.shape == (2, 6)
+        for k, z in enumerate(pts):
+            for got, one in zip((f, inv, cos), circle_means(z)):
+                assert np.array_equal(got[:, k], one)
+
+    @pytest.mark.parametrize("z", [(1.5, 0.0, 0.7, 0.2), (1 + 1j, 0.5j, 0.0, -0.3)])
+    def test_b_zero_needs_no_special_case(self, z):
+        # G is constant A: f = A, zeta = 0, so mean 1/G = 1/A, mean cos/G = 0
+        f, inv, cos = circle_means(z)
+        z0, z1, z2, z3 = (complex(v) for v in z)
+        A = np.array([(z0 + z3) ** 2, (z0 - z3) ** 2]) - z1 * z1 - z2 * z2
+        assert np.allclose(f, A, rtol=1e-15, atol=0)
+        assert np.allclose(inv, 1.0 / A, rtol=1e-15, atol=0)
+        assert np.all(cos == 0)
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            (2.0, 1.0, 1.0, 0.0),  # G(0) = 0 in both blocks: |zeta| = 1
+            (0.0, 1.0, 1.0, 2.0),
+            (1.0, 0.0, 0.0, 1.0),  # B = 0 and A- = 0: f = 0
+            (0.0, 1j, -1j, 0.0),
+        ],
+    )
+    def test_on_spectrum(self, z):
+        with pytest.raises(OnSpectrum):
+            circle_means(z)

@@ -26,7 +26,8 @@ from dinfh.selfsim import (
     validate_eigs_in_spectrum,
     wreath_mul,
 )
-from dinfh.spectrum import PencilPoint, membership, membership_grid
+from dinfh.spectrum import PencilPoint, membership_grid
+from test_spectrum import reference_membership
 
 GENS = {"a": GEN_A, "t": GEN_T, "tau": GEN_TAU}
 
@@ -80,11 +81,26 @@ def scalar_validation(z1, z2, z3, n, tol=1e-8):
     violations = []
     max_margin = 0.0
     for lam in pencil_level_eigs(z1, z2, z3, n):
-        res = membership(PencilPoint(-lam, z1, z2, z3), tol=tol)
+        res = reference_membership(PencilPoint(-lam, z1, z2, z3), tol=tol)
         max_margin = max(max_margin, res.margin)
         if not res.in_spectrum:
             violations.append({"eigenvalue": float(lam), "margin": res.margin})
     return {"violations": violations, "max_margin": max_margin}
+
+
+def reference_validation(z1, z2, z3, n, tol=1e-8):
+    """The grid check validate_eigs_in_spectrum replaced: every one of the
+    4^n eigenvalues goes through membership_grid."""
+    eigs = pencil_level_eigs(z1, z2, z3, n)
+    points = np.empty((len(eigs), 4), dtype=complex)
+    points[:, 0] = -eigs
+    points[:, 1:] = (z1, z2, z3)
+    margin, inside = membership_grid(points, tol=tol)
+    violations = [
+        {"eigenvalue": float(lam), "margin": float(m)}
+        for lam, m in zip(eigs[~inside], margin[~inside])
+    ]
+    return {"violations": violations, "max_margin": float(margin.max())}
 
 
 def scalar_coverage_gap(z1, z2, z3, n):
@@ -484,6 +500,15 @@ class TestValidation:
                     assert f["eigenvalue"] == r["eigenvalue"]
                     assert f["margin"] == pytest.approx(r["margin"], abs=1e-15)
                 assert fast["max_margin"] == pytest.approx(ref["max_margin"], abs=1e-15)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-15])
+    def test_distinct_eigenvalues_give_the_full_check(self, rng, tol):
+        # tol = 1e-15 makes violations, so their order is compared too
+        pencils = seeded_pencils(rng, 12) + [(1, 1, 0.5), (1, 0, 0), (0, 0, 0)]
+        for z in pencils:
+            for n in range(1, 6):
+                ref = reference_validation(*z, n, tol=tol)
+                assert validate_eigs_in_spectrum(*z, n, tol=tol) == ref
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from dinfh.errors import DegeneratePencil, InvalidPlane
 from dinfh.spectrum import (
+    DEGENERATE_CUTOFF,
+    MembershipResult,
     PencilPoint,
     RasterPlane,
     Witness,
+    as_point,
     g_values,
     membership,
     membership_grid,
@@ -18,6 +21,41 @@ from dinfh.spectrum import (
 )
 
 P = PencilPoint(1, 8, 4, 2)
+
+
+def _segment_distance(x: complex) -> float:
+    """Distance from a complex number to the real segment [-1, 1]."""
+    re = min(1.0, max(-1.0, x.real))
+    return abs(x - re)
+
+
+def reference_membership(z, tol=1e-9):
+    """The scalar routine membership replaced, branch for branch: the
+    independent reference for membership_grid."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    z = as_point(z)
+    scale = pencil_scale(z)
+    p2 = 2.0 * z.z1 * z.z2
+    s = z.z1 * z.z1 + z.z2 * z.z2
+    a_minus = (z.z0 - z.z3) ** 2 - s
+    a_plus = (z.z0 + z.z3) ** 2 - s
+
+    if abs(z.z1 * z.z2) < DEGENERATE_CUTOFF * scale:
+        margin = min(abs(a_minus), abs(a_plus)) / scale
+        inside = margin <= tol
+        witnesses = []
+        for sign, val in (("-", a_minus), ("+", a_plus)):
+            if abs(val) <= tol * scale:
+                witnesses.append(Witness(sign, None))
+        return MembershipResult(inside, witnesses, margin)
+
+    witnesses = [Witness(sign, x) for sign, x in solve_x(z)]
+    inside = any(
+        abs(w.x.imag) <= tol and abs(w.x.real) <= 1.0 + tol for w in witnesses
+    )
+    margin = min(abs(p2) * _segment_distance(w.x) for w in witnesses) / scale
+    return MembershipResult(inside, witnesses, margin)
 
 
 def dinfty_membership(z0, z1, z2):
@@ -134,9 +172,31 @@ class TestMembership:
         pts = rng.uniform(-2, 2, size=(200, 4))
         margin, inside = membership_grid(pts.astype(complex))
         for i in range(len(pts)):
-            res = membership(tuple(pts[i]))
+            res = reference_membership(tuple(pts[i]))
             assert inside[i] == res.in_spectrum
             assert margin[i] == pytest.approx(res.margin, abs=1e-13)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-2])
+    def test_scalar_matches_reference(self, rng, tol):
+        # real and complex points, the x-independent branch (z1 = 0, z2 = 0,
+        # z1 z2 below the cutoff) and points on the spectrum
+        pts = list(rng.uniform(-2, 2, (60, 4)))
+        pts += list(rng.uniform(-2, 2, (60, 4)) + 1j * rng.uniform(-1, 1, (60, 4)))
+        for z in pts[:10]:
+            z[1] = 0.0
+        for z in pts[60:70]:
+            z[2] = 0.0
+        pts += [(1, 1e-13, 1, 0), (1, 1, 0, 0), (0, 1, 1, 2), (2, 1, 1, 0), P]
+        for z in pts:
+            res = membership(tuple(z), tol=tol)
+            ref = reference_membership(tuple(z), tol=tol)
+            assert res.in_spectrum == ref.in_spectrum
+            # numpy's and Python's complex abs and division may differ in
+            # the last bit
+            assert res.margin == pytest.approx(ref.margin, rel=1e-14, abs=1e-15)
+            assert res.witnesses == ref.witnesses
+        # the resolvent point of criterion 2 keeps its margin bit for bit
+        assert membership(P).margin == reference_membership(P).margin == 0.109375
 
 
 class TestDinfty:

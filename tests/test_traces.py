@@ -11,6 +11,7 @@ from dinfh.errors import (
     OnSpectrum,
 )
 from dinfh.group import FunctionalKind
+from dinfh.spectrum import as_point, membership_grid
 from dinfh.traces import (
     QUANTA,
     TraceRequest,
@@ -26,12 +27,47 @@ from dinfh.traces import (
     trace_coefficients,
     trace_quadrature,
 )
+from test_oracle import NEAR_UNIT_ZETA, split_test_points
 
 P = (1.0, 8.0, 4.0, 2.0)
 Q = (2.0, 0.0, 0.0, 1.0)
 
 TRUE_MIXED = 752 / (2145 * math.sqrt(2145))
 TABULATED_MIXED = 14872 / (45045 * math.sqrt(105)) - 7896 / (45045 * math.sqrt(2145))
+
+
+def reference_potential(z, n_nodes=256, max_nodes=2**17):
+    """The unwrap-and-double route potential_tr replaced: the mean of
+    log(G^- G^+) on n nodes with its argument unwrapped along the grid from
+    the principal branch at theta = 0; a grid too coarse to unwrap (a phase
+    step >= pi/2) is doubled without a comparison, and nodes double until
+    two grids agree to 1e-12."""
+    z = as_point(z)
+
+    def value_at(n):
+        _, _, _, gm, gp = traces._parts(z, oracle.fft_angles(n))
+        values = gm * gp
+        steps = np.angle(values[1:] / values[:-1])
+        if np.abs(steps).max() >= np.pi / 2:
+            return None
+        args = np.angle(values[0]) + np.concatenate(([0.0], np.cumsum(steps)))
+        return 0.25 * complex(np.mean(np.log(np.abs(values)) + 1j * args))
+
+    n, coarse = max(4, n_nodes), None
+    while n <= max_nodes:
+        fine = value_at(n)
+        if fine is not None:
+            if coarse is not None and abs(fine - coarse) <= 1e-12:
+                return fine
+            coarse = fine
+        n *= 2
+    raise NonConvergent(f"reference potential not settled at {max_nodes} nodes")
+
+
+def fine_trapezoid_coefficients(z, functional, n=2**16):
+    """The four coefficients as n-node trapezoid means of the integrands."""
+    vals = oracle.word_integrands(z, functional, oracle.fft_angles(n))
+    return np.array([v.mean(-1) for v in vals])
 
 
 class TestTabulatedIntegrands:
@@ -161,22 +197,58 @@ class TestQuadrature:
 # x = 1 + 5e-8 makes the trapezoid rule need ~6e4 nodes
 NEAR = (math.sqrt(4.0 + 2e-7), 1.0, 1.0, 0.0)
 # (1/2pi) int z0 / (z0^2 - 2 - 2 cos) = z0 / sqrt((z0^2 - 2)^2 - 4)
-NEAR_TR_E = NEAR[0] / math.sqrt((NEAR[0] ** 2 - 2.0) ** 2 - 4.0)
+# = 1 / sqrt(z0^2 - 4), factored so that no square cancels
+NEAR_TR_E = 1.0 / math.sqrt((NEAR[0] - 2.0) * (NEAR[0] + 2.0))
 
 
 class TestNearSpectrum:
-    def test_loop_coefficients_raise_instead_of_returning(self):
-        # 4096 nodes give 3088.7 against the true 2236.07
-        with pytest.raises(NonConvergent):
-            loop_coefficients(np.array([NEAR], dtype=complex), "tr")
+    def test_loop_coefficients_are_exact(self):
+        # a 4096-node trapezoid gives 3088.7 against the true 2236.07
+        coeffs = loop_coefficients(np.array([NEAR], dtype=complex), "tr")
+        assert coeffs[0, 0] == pytest.approx(NEAR_TR_E, rel=1e-12)
 
     def test_fine_grid_reaches_the_closed_form(self):
         vals = oracle.symbol_integrand(NEAR, "e", "tr", oracle.fft_angles(2**16))
         assert vals.mean() == pytest.approx(NEAR_TR_E, rel=1e-6)
 
-    def test_potential_raises_at_max_nodes(self):
-        with pytest.raises(NonConvergent):
-            potential_tr(NEAR, max_nodes=2**10)
+    def test_potential_matches_the_fine_reference(self):
+        assert potential_tr(NEAR) == pytest.approx(reference_potential(NEAR), abs=1e-12)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("functional", ["tr", "phitr"])
+    def test_coefficients_match_fine_trapezoid(self, rng, functional):
+        # z0 = +-z3, z1 = 0, z2 = 0 (z1 z2 = 0) and |zeta| = 0.989
+        pts = np.concatenate([split_test_points(rng, 10), [NEAR_UNIT_ZETA]])
+        coeffs = loop_coefficients(pts, functional)
+        assert coeffs.shape == (len(pts), 4)
+        for z, row in zip(pts, coeffs):
+            ref = fine_trapezoid_coefficients(z, functional)
+            assert np.abs(row - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+
+    def test_match_dense_oracle_at_p(self):
+        # |zeta| <= 0.63 at P: the N = 128 truncation is exact to |zeta|^N < 1e-25
+        pencil = oracle.pencil_matrix(P, 128)
+        tr = loop_coefficients(np.array([P], dtype=complex), "tr")[0]
+        phi = loop_coefficients(np.array([P], dtype=complex), "phitr")[0]
+        for i, word in enumerate(oracle.WORDS):
+            assert tr[i] == pytest.approx(oracle.oracle_trace(pencil, word), abs=1e-14)
+            assert phi[i] == pytest.approx(oracle.oracle_phitr(pencil, word), abs=1e-14)
+
+    @pytest.mark.parametrize("z", [(2, 1, 1, 0), (0, 1, 1, 2)])
+    def test_on_spectrum_raises(self, z):
+        for functional in ("tr", "phitr"):
+            with pytest.raises(OnSpectrum):
+                loop_coefficients(np.array([z], dtype=complex), functional)
+        with pytest.raises(OnSpectrum):
+            potential_tr(z)
+
+    def test_potential_matches_reference(self, rng):
+        real = rng.uniform(-2, 2, (40, 4))
+        real = real[membership_grid(real.astype(complex))[0] > 0.05][:12]
+        pts = list(real) + list(split_test_points(rng, 12)) + [(0.2, 1.5, 0.7, 0.1)]
+        for z in pts:
+            assert potential_tr(z) == pytest.approx(reference_potential(z), abs=1e-12)
 
 
 class TestPotential:
@@ -192,7 +264,7 @@ class TestPotential:
         assert np.abs(grad - coeff).max() <= 1e-8
 
     def test_gradient_with_negative_symbols(self):
-        # G^- < 0 on part of the circle: exercises the branch unwrapping
+        # G^- < 0 on part of the circle: exercises the log branch
         z = (0.2, 1.5, 0.7, 0.1)
         from dinfh.spectrum import membership
 
@@ -262,21 +334,6 @@ class TestPeriods:
         near = loops.circle_loop([1.0, 0, 0, 0], 0.99, ["z0"], steps=8, name="near")
         with pytest.raises(NonConvergent, match="period on near .* at 32$"):
             loop_period(near, "tr", max_steps=32)
-
-    @pytest.mark.parametrize("functional", ["tr", "phitr"])
-    def test_doubling_reuses_coarse_coefficients(self, monkeypatch, functional):
-        rows = []
-
-        def counted(Z, *args, **kwargs):
-            rows.append(len(Z))
-            return loop_coefficients(Z, *args, **kwargs)
-
-        monkeypatch.setattr(traces, "loop_coefficients", counted)
-        rep = loop_period(loops.loop_L1(), functional)
-        # 512 coarse samples, then only the 512 odd points of the 1024 grid
-        assert rows == [512, 512]
-        expect = 1j * math.pi if functional == "tr" else -2j * math.pi
-        assert rep.value == pytest.approx(expect, abs=1e-9)
 
     def test_quanta(self):
         assert QUANTA[FunctionalKind.CANONICAL_TRACE] == 0.5j * math.pi
