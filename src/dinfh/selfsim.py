@@ -13,6 +13,15 @@ the generators become
 
 with the left-action law g(x w) = g(x) . g|_x(w).
 
+Every level is a finite quotient.  u = a*t = sigma(a, t, a, t) and
+u^2 = (u^-1, u, u^-1, u) with the identity permutation, so by induction
+u^(2^n) fixes level n, and level n sees only the 4 * 2^n elements
+tau^eps t^delta u^(k mod 2^n).  ``TreeAction.level_matrix`` caches its
+vectors under that representative, so its cache is bounded by the group
+itself: at most 4 * (2^7 - 1) = 508 vectors over levels 0-6 (under
+10 MiB), and at most 4 * 2^6 = 256 wreath decompositions on the level
+path, with no eviction.
+
 Level-n matrices are the 4^n-point permutation representations; the
 finite-level pencil  z1*M(a) + z2*M(t) + z3*M(tau)  is real symmetric and
 its eigenvalues all satisfy the closed-form spectrum membership of the
@@ -115,13 +124,13 @@ class TreeAction:
     def __init__(self):
         self._gen = {s: generator_wreath(s) for s in ("a", "t", "tau")}
         self._cache: Dict[GroupElement, WreathElement] = {}
-        self._levels: Dict[Tuple[GroupElement, int], np.ndarray] = {}
+        self._levels: Dict[Tuple[int, int, int, int], np.ndarray] = {}
         self._orbits: Dict[int, np.ndarray] = {}
         self._blocks: Dict[int, Tuple[Tuple[np.ndarray, np.ndarray], ...]] = {}
 
     def _wreath_pow_u(self, k: int) -> WreathElement:
-        # square-and-multiply on u = a*t (u^-1 = t*a); powers of u commute,
-        # and restriction exponents halve per level, so the cache stays small
+        # square-and-multiply on u = a*t (u^-1 = t*a); powers of u commute.
+        # On the level path k < 2^MAX_LEVEL, so this takes at most six squares
         if k >= 0:
             base = wreath_mul(self._gen["a"], self._gen["t"])
         else:
@@ -164,16 +173,22 @@ class TreeAction:
 
         Index encoding is big-endian in the letters: word (x_1 .. x_n)
         maps to x_1*4^(n-1) + ... + x_n.
+
+        u^(2^n) fixes level n, so g acts there as its representative
+        tau^eps t^delta u^(k mod 2^n): vectors are cached under that
+        representative, at most 4 * 2^n of them per level (508 over levels
+        0-6), and the recursion only ever decomposes representatives.
         """
         _check_level(n)
-        key = (g, n)
+        # a plain tuple: building a GroupElement per lookup doubles a hit's cost
+        key = (g.k % (1 << n), g.t_flag, g.tau_flag, n)
         cached = self._levels.get(key)
         if cached is not None:
             return cached
         if n == 0:
             vec = np.zeros(1, dtype=np.int64)
         else:
-            wr = self.wreath_of(g)
+            wr = self.wreath_of(GroupElement(*key[:3]))
             block = 4 ** (n - 1)
             vec = np.empty(4**n, dtype=np.int64)
             for x in range(4):

@@ -45,6 +45,21 @@ def alt_tau_action():
     return action
 
 
+def reference_level_vector(action, g, n):
+    """The recursion level_matrix replaced, unreduced and uncached: g's own
+    wreath decomposition at every level, whatever its k."""
+    if n == 0:
+        vec = np.zeros(1, dtype=np.int64)
+    else:
+        wr = action.wreath_of(g)
+        block = 4 ** (n - 1)
+        vec = np.empty(4**n, dtype=np.int64)
+        for x in range(4):
+            sub = reference_level_vector(action, wr.restrictions[x], n - 1)
+            vec[x * block : (x + 1) * block] = wr.perm[x] * block + sub
+    return vec
+
+
 def pencil_level_matrix(z1, z2, z3, n, action=selfsim._DEFAULT_ACTION):
     """Dense symmetric matrix z1*M(a) + z2*M(t) + z3*M(tau) at level n."""
     size = 4**n
@@ -347,6 +362,81 @@ class TestLevelMatrix:
         lines = list(level_matrix(GEN_A, 1).dump_lines())
         assert lines[0] == "0 -> 1"
         assert lines[1] == "1 -> 0"
+
+
+def edge_elements(n):
+    """k at and around the level-n period 2^n, far beyond int64, both flags."""
+    ks = {s * k for k in (0, 1, 2**n, 2**n - 1, 2**n + 1, 2**62) for s in (1, -1)}
+    ks.add(10**30)
+    return [
+        GroupElement(k=k, t_flag=t_flag, tau_flag=tau_flag)
+        for k in sorted(ks)
+        for t_flag in (0, 1)
+        for tau_flag in (0, 1)
+    ]
+
+
+def seeded_elements(rng, count, max_k):
+    ks = rng.integers(-max_k, max_k + 1, size=count)
+    flags = rng.integers(0, 2, size=(count, 2))
+    return [
+        GroupElement(k=int(k), t_flag=int(f[0]), tau_flag=int(f[1]))
+        for k, f in zip(ks, flags)
+    ]
+
+
+class TestLevelQuotient:
+    """level_matrix keys on tau^eps t^delta u^(k mod 2^n): its vectors are
+    checked against g's own, unreduced wreath decomposition, and its caches
+    against the size of the group's level-n quotients."""
+
+    @pytest.mark.parametrize("alt", [False, True])
+    def test_equal_to_unreduced_recursion(self, rng, alt):
+        make = alt_tau_action if alt else TreeAction
+        action, ref = make(), make()
+        for n in range(MAX_LEVEL + 1):
+            for g in edge_elements(n) + seeded_elements(rng, 12, 10**4):
+                vec = action.level_matrix(g, n)
+                assert np.array_equal(vec, reference_level_vector(ref, g, n)), (g, n)
+
+    @pytest.mark.parametrize("alt", [False, True])
+    def test_u_has_order_2_to_the_n_at_level_n(self, alt):
+        action = alt_tau_action() if alt else TreeAction()
+        for n in range(1, MAX_LEVEL + 1):
+            ident = np.arange(4**n)
+            period, half = GroupElement(k=2**n), GroupElement(k=2 ** (n - 1))
+            assert np.array_equal(reference_level_vector(action, period, n), ident)
+            assert not np.array_equal(reference_level_vector(action, half, n), ident)
+            assert np.array_equal(action.level_matrix(period, n), ident)
+            assert not np.array_equal(action.level_matrix(half, n), ident)
+
+    @pytest.mark.parametrize("alt", [False, True])
+    def test_letter_by_letter_action(self, rng, alt):
+        action = alt_tau_action() if alt else TreeAction()
+        walk = action.act if alt else act_on_word
+        for n in range(1, 5):
+            # leaf i is the big-endian word of its base-4 digits
+            words = [tuple(int(c) for c in np.base_repr(i, 4).zfill(n)) for i in range(4**n)]
+            for g in edge_elements(n) + seeded_elements(rng, 4, 10**4):
+                vec = action.level_matrix(g, n)
+                for i, word in enumerate(words):
+                    image = walk(g, word)
+                    assert vec[i] == sum(x * 4 ** (n - 1 - j) for j, x in enumerate(image))
+
+    def test_caches_bounded_by_the_group(self, rng):
+        action = TreeAction()
+        for g in seeded_elements(rng, 2000, 10**12):
+            action.level_matrix(g, MAX_LEVEL)
+        pairs = zip(seeded_elements(rng, 200, 10**12), seeded_elements(rng, 200, 10**12))
+        for g, h in pairs:
+            lg = action.level_matrix(g, MAX_LEVEL)
+            lh = action.level_matrix(h, MAX_LEVEL)
+            assert np.array_equal(action.level_matrix(mul(g, h), MAX_LEVEL), lg[lh])
+        # 4 * 2^n representatives at each level 0-6, and the wreath
+        # decompositions of the 4 * 2^6 level-6 ones
+        assert len(action._levels) <= 508
+        assert len(action._cache) <= 256
+        assert all(not vec.flags.writeable for vec in action._levels.values())
 
 
 class TestOrbits:

@@ -308,6 +308,19 @@ class TestPeriods:
         assert abs(rep_phi.value) <= 1e-9
         assert rep_phi.nearest_multiple == 0
 
+    @pytest.mark.parametrize("functional", ["tr", "phitr"])
+    def test_both_periods_take_the_richardson_step(self, monkeypatch, functional):
+        # a scripted (coarse, fine) pair: returning the fine grid alone
+        # (4.0) or the coarse one (1.0) instead of the step fails here
+        def scripted(fn, n, target, n_max, what):
+            return 1.0, 4.0
+
+        monkeypatch.setattr(oracle, "refine", scripted)
+        monkeypatch.setattr(traces, "refine", scripted)
+        assert oracle.richardson(1.0, 4.0) == 5.0
+        assert oracle.oracle_period(loops.loop_L1(), functional, N=8) == 5.0
+        assert loop_period(loops.loop_L1(), functional).value == 5.0
+
     def test_report_schema(self):
         rep = loop_period(loops.loop_L1(), "tr", steps=64)
         js = rep.to_json()
