@@ -18,7 +18,7 @@ import numpy as np
 from . import erratum, loops, oracle, selfsim, traces
 from .config import RunConfig
 from .erratum import P_POINT
-from .group import GEN_A, GEN_T, GEN_TAU, FunctionalKind, GroupElement, mul
+from .group import GEN_A, GEN_T, GEN_TAU, GEN_U, FunctionalKind, GroupElement, mul
 from .spectrum import membership, membership_grid
 
 
@@ -141,13 +141,11 @@ def criterion_4(config: RunConfig) -> CriterionResult:
     quad_tr_e = traces.trace_quadrature(
         traces.TraceRequest(P_POINT, "tr", "e", config.default_n_nodes)
     )
-    # one truncation: the trace factors both tau halves, phi~ reuses P-
-    pencil = oracle.pencil_matrix(P_POINT, config.default_N)
-    oracle_tr_e = oracle.oracle_trace(pencil, "e")
+    oracle_tr_e = oracle.oracle_trace(P_POINT, "e", config.default_N)
     quad_phi_a = traces.trace_quadrature(
         traces.TraceRequest(P_POINT, "phitr", "a", config.default_n_nodes)
     )
-    oracle_phi_a = oracle.oracle_phitr(pencil, "a")
+    oracle_phi_a = oracle.oracle_phitr(P_POINT, "a", config.default_N)
     errs = {
         "quad_tr_e": abs(quad_tr_e - tr_e_exact),
         "oracle_tr_e": abs(oracle_tr_e - tr_e_exact),
@@ -320,6 +318,22 @@ def criterion_8(config: RunConfig) -> CriterionResult:
                 mats[s][mats["tau"]], mats["tau"][mats[s]]
             ):
                 failures.append(f"tau does not commute with {s} at level {level}")
+
+    # every homomorphic image of the group passes the relations above; the
+    # order of u and the letter-by-letter action also catch a wrong one,
+    # such as a level matrix that reduces k modulo 2^(n-1) instead of 2^n
+    for level in range(1, selfsim.MAX_LEVEL + 1):
+        power = selfsim.level_matrix(GEN_U, level).perm_vector
+        for _ in range(level - 1):
+            power = power[power]  # u^(2^(level - 1))
+        ident = np.arange(4**level)
+        if np.array_equal(power, ident) or not np.array_equal(power[power], ident):
+            failures.append(f"u does not have order 2^{level} at level {level}")
+    leaves = [tuple(int(c) for c in np.base_repr(i, 4).zfill(3)) for i in range(64)]
+    for g in [GEN_U] + words[:8]:
+        walked = [int("".join(map(str, selfsim.act_on_word(g, w))), 4) for w in leaves]
+        if not np.array_equal(selfsim.level_matrix(g, 3).perm_vector, walked):
+            failures.append(f"level-3 vector of {g} is not its letter-by-letter action")
 
     rng2 = _rng(config, 88)
     for _ in range(5):

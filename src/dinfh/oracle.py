@@ -23,20 +23,50 @@ boundary-effect-free adjudicator of membership margins, trace formulas
 and loop periods; the tau-parity 2x2 split is the fast path that serves
 the membership sweeps and quadratures, and its exact circle means
 (``circle_means``, by the residue theorem) give the loop coefficients and
-the potential with no quadrature at all.  The dense traces and periods
-use only the tau block structure of the assembled matrix: every word
-commutes with the tau block swap Q, so in 2N blocks
-P = [[E, F], [F, E]] and P is similar to diag(P+, P-) with P+- = E +- F.
-One 1-form kernel, ``_half_form``, evaluates both functionals on
-P^-1 P(dz) from LU factorizations of those halves; it uses neither the
-DFT nor the 2x2 symbol, so it stays independent of the fast path.
+the potential with no quadrature at all.
+
+The dense traces and periods use only the group structure of the
+truncation, neither the DFT nor the 2x2 symbol, so they stay independent
+of the fast path.  The truncation is the left regular representation of
+the finite group D_N x Z_2 of order 4N: a, t and tau are involutions,
+u = a*t has order N, and the word permutations act freely and
+transitively on the 4N basis indices (index i is the element g_i with
+g_i(0) = i).  So every right translation R_h: g_i -> g_i h commutes with
+every word matrix, hence with P(z) = z0 I + z1 W_a + z2 W_t + z3 W_tau:
+
+  * R_tau = W_tau, as tau is central: the tau block swap Q;
+  * R_t maps (e, m) <-> (t, -m) and (tau, m) <-> (tau*t, -m) (cosets e,
+    t, tau, tau*t; m mod N), a fixed-point-free involution that commutes
+    with R_tau.
+
+Their joint eigenspaces, s = +-1 for tau and r = +-1 for t, are the four
+Klein blocks, each N-dimensional with the orthonormal basis
+(1/2)(d(e, m) + r d(t, -m) + s d(tau, m) + s r d(tau*t, -m)).  On block
+(s, r) the pencil is the N x N matrix
+
+    P_{s,r} = (z0 + s z3) I + r (z1 K + z2 J),
+    (J x)(m) = x(-m),  (K x)(m) = x(1 - m)  (mod N),
+
+and since P is linear in z, a tangent X = P(dz) has the same blocks with
+dz in place of z.  Q - I is 0 on the tau-even blocks and -2 on the
+tau-odd ones, so
+
+    Tr(P^-1 X)   = sum_{s,r} Tr(P_{s,r}^-1 X_{s,r}),
+    phi~(P^-1 X) = (1/4N) Tr(P^-1 X (Q - I)) = -(1/2N) sum_r Tr(P_{-,r}^-1 X_{-,r}).
+
+This is not the DFT.  J and K are the reflections m -> -m and
+m -> 1 - m of the dihedral action on Z_N; the split diagonalizes only the
+two involutions R_t and R_tau, never the shift u = KJ, so each block
+stays a dense N x N matrix in the position basis with entries z0 +- z3
+and +-z1, +-z2 (no twiddle factors), and it is solved by LU.  The four
+blocks replace one LU of the 4N matrix (or two of its 2N tau halves) by
+four of size N: a quarter of the LU and solve flops of the tau halves.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -50,8 +80,24 @@ from .spectrum import PencilPoint, as_point
 WORDS = ("e", "a", "t", "tau")
 
 LU_PIVOT_TOL = 1e-12
-# the dense truncation stores a (4N)^2 complex matrix and LUs of its two halves
+# the assembled truncation stores a (4N)^2 complex matrix
 MAX_DENSE_N = 1024
+
+# the Klein blocks (s, r): tau acts by s and right translation by t by r
+KLEIN_BLOCKS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+# the blocks each functional reads, and its scale times N
+_READS = {
+    FunctionalKind.CANONICAL_TRACE: (KLEIN_BLOCKS, 0.25),
+    FunctionalKind.PHI_TENSOR_TRACE: (KLEIN_BLOCKS[2:], -0.5),
+}
+# a stack of Klein blocks holds at most this many bytes, unless one point's
+# blocks alone are larger: 1 MiB stacks took twice the page faults of
+# 256 KiB ones (past the import's) and ran no faster
+_BATCH_BYTES = 1 << 18
+
+# LAPACK's complex LU and LU solve, as called by scipy.linalg.lu_factor
+# and lu_solve on one 2-D block
+_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=complex)
 
 # block positions of tau (cosets e <-> tau, t <-> tau*t)
 _TAU_BLOCKS = ((0, 2), (1, 3), (2, 0), (3, 1))
@@ -59,6 +105,13 @@ _TAU_BLOCKS = ((0, 2), (1, 3), (2, 0), (3, 1))
 
 # ---------------------------------------------------------------------------
 # dense truncation
+
+
+def _check_size(N: int) -> None:
+    if N < 2:
+        raise ValueError("truncation size N must be at least 2")
+    if N > MAX_DENSE_N:
+        raise TruncationTooLarge(f"dense truncation N={N} exceeds {MAX_DENSE_N}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -69,8 +122,7 @@ def word_permutation(word: str, N: int) -> np.ndarray:
     m the cyclic-shift coordinate.  Cached per (word, N), read-only; N is
     capped at MAX_DENSE_N, so the cache holds at most 64 * 32 KiB.
     """
-    if N > MAX_DENSE_N:
-        raise TruncationTooLarge(f"dense truncation N={N} exceeds {MAX_DENSE_N}")
+    _check_size(N)
     m = np.arange(N)
     up = (m + 1) % N
     down = (m - 1) % N
@@ -98,51 +150,64 @@ def word_permutation(word: str, N: int) -> np.ndarray:
     return sigma
 
 
-def _tau_half(matrix: np.ndarray, sign: int) -> np.ndarray:
-    """P+ = E + F (sign 1) or P- = E - F (sign -1) of P = [[E, F], [F, E]].
+def klein_blocks(Z, N: int, blocks) -> np.ndarray:
+    """The Klein blocks P_{s,r} of P(z) for points Z of shape (n, 4).
 
-    The tau block swap Q maps the first 2N basis vectors (cosets e, t) onto
-    the last 2N (tau, tau*t); every word matrix commutes with Q, so any
-    assembled truncation has this 2N-block form, with P U = U P+ for
-    U = [I; I] and P V = V P- for V = [I; -I].
+    Returns shape (n, len(blocks), N, N) for (s, r) in ``blocks``:
+    (z0 + s z3) on the diagonal, r z1 at (m, 1 - m) and r z2 at (m, -m),
+    written once per term for the whole stack.
     """
-    half = matrix.shape[0] // 2
-    return matrix[:half, :half] + sign * matrix[:half, half:]
+    _check_size(N)
+    Z = np.asarray(Z, dtype=complex).reshape(-1, 4)
+    s, r = np.array(blocks, dtype=float).T
+    z0, z1, z2, z3 = (Z[:, i, None, None] for i in range(4))
+    m = np.arange(N)
+    out = np.zeros((len(Z), len(s), N, N), dtype=complex)
+    # the three index maps overlap (K and J meet the diagonal), so each adds
+    out[..., m, m] = z0 + s[:, None] * z3
+    out[..., m, (1 - m) % N] += r[:, None] * z1
+    out[..., m, -m % N] += r[:, None] * z2
+    return out
 
 
-@dataclass
+def klein_lu(Z, N: int, blocks) -> tuple:
+    """LU factorizations of the Klein blocks P_{s,r} at points Z (n, 4).
+
+    Returns (lu, piv) stacked as in ``klein_blocks``, in the format of
+    ``scipy.linalg.lu_factor``; SingularTruncation is raised if any
+    factored block has a pivot below LU_PIVOT_TOL.  LAPACK factors one 2-D
+    block per call, so the stack is walked block by block.
+    """
+    stack = klein_blocks(Z, N, blocks)
+    lu = np.empty_like(stack)
+    piv = np.empty(stack.shape[:-1], dtype=np.int32)
+    for k in np.ndindex(stack.shape[:-2]):
+        # an exactly zero pivot (info > 0) is caught by the check below
+        lu[k], piv[k], _ = _GETRF(stack[k], overwrite_a=True)
+    if np.abs(np.diagonal(lu, axis1=-2, axis2=-1)).min() < LU_PIVOT_TOL:
+        raise SingularTruncation(f"pencil truncation at N={N} is numerically singular")
+    return lu, piv
+
+
+@dataclass(frozen=True, eq=False)
 class CirculantPencil:
-    """Dense 4N x 4N truncation with cached LU factorizations of its halves."""
+    """Dense 4N x 4N truncation at a point; its matrix is read-only."""
 
     N: int
     z: PencilPoint
     matrix: np.ndarray
 
-    _lu: dict = field(default_factory=dict)
-
-    def lu(self, sign: int):
-        """LU of the tau half P+ (sign 1) or P- (sign -1), factored once."""
-        if sign not in self._lu:
-            with warnings.catch_warnings():
-                # singular factorizations surface as SingularTruncation
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu, piv = scipy.linalg.lu_factor(
-                    _tau_half(self.matrix, sign), overwrite_a=True, check_finite=False
-                )
-            if np.abs(np.diag(lu)).min() < LU_PIVOT_TOL:
-                raise SingularTruncation(
-                    f"pencil truncation at N={self.N} is numerically singular"
-                )
-            self._lu[sign] = (lu, piv)
-        return self._lu[sign]
+    def lu(self, s: int, r: int) -> tuple:
+        """LU of the Klein block P_{s,r}, factored on each call, not stored."""
+        if (s, r) not in KLEIN_BLOCKS:
+            raise ValueError(f"no Klein block ({s}, {r})")
+        lu, piv = klein_lu(self.z.as_array(), self.N, ((s, r),))
+        return lu[0, 0], piv[0, 0]
 
 
 def pencil_matrix(z, N: int) -> CirculantPencil:
     """Assemble the truncation (O(N) nonzeros, N <= MAX_DENSE_N)."""
-    if N < 2:
-        raise ValueError("truncation size N must be at least 2")
-    if N > MAX_DENSE_N:
-        raise TruncationTooLarge(f"dense truncation N={N} exceeds {MAX_DENSE_N}")
+    _check_size(N)
     z = as_point(z)
     coeffs = dict(zip(WORDS, z))
     mat = np.zeros((4 * N, 4 * N), dtype=complex)
@@ -150,15 +215,8 @@ def pencil_matrix(z, N: int) -> CirculantPencil:
     for word, c in coeffs.items():
         if c != 0 or word == "e":
             mat[word_permutation(word, N), cols] += c
+    mat.setflags(write=False)
     return CirculantPencil(N=N, z=z, matrix=mat)
-
-
-def _as_pencil(z_or_pencil, N: int | None) -> CirculantPencil:
-    if isinstance(z_or_pencil, CirculantPencil):
-        return z_or_pencil
-    if N is None:
-        raise ValueError("N is required when passing a pencil point")
-    return pencil_matrix(z_or_pencil, N)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +345,7 @@ def membership_margin(z, N: int, method: str = "symbol") -> float:
     roundoff, O(N) instead of O(N^3)).
     """
     if method == "dense":
-        pencil = _as_pencil(z, N)
+        pencil = z if isinstance(z, CirculantPencil) else pencil_matrix(z, N)
         return float(np.linalg.svd(pencil.matrix, compute_uv=False)[-1])
     if method == "symbol":
         z = as_point(z)
@@ -334,28 +392,30 @@ def margin_grid(points: np.ndarray, N: int, chunk: int = 512) -> np.ndarray:
 # oracle traces
 
 
-def _half_form(pencil: CirculantPencil, dz, kind: FunctionalKind) -> complex:
-    """The functional on P^-1 X, X = P(dz), from the tau halves it needs.
+def _klein_form(Z, dZ, N: int, kind: FunctionalKind) -> np.ndarray:
+    """The functional on P(z)^-1 P(dz) for points Z and tangents dZ (n, 4).
 
-    X has P's block form, so with U, V as in ``_tau_half``,
-    Tr(P^-1 X) = Tr(P+^-1 X+) + Tr(P-^-1 X-), and as Q - I = -V V^T,
-    phi~(P^-1 X) = (1/4N) Tr(P^-1 X (Q - I)) = -(1/2N) Tr(P-^-1 X-).
-    Each half trace is one 2N-column solve against that half's LU; phi~
-    never factors P+.  A one-hot dz gives a word's oracle value; along a
-    loop, dz = z'(s) gives the period's 1-form.
+    Each Klein block the functional reads (all four for Tr, the tau-odd
+    two for phi~) is factored once per point and solved against its N
+    columns of X = P(dz); the traces of the solutions add up as in the
+    module docstring.  Points are stacked at most _BATCH_BYTES per array.
+    A one-hot dz gives a word's oracle value; along a loop, dz = z'(s)
+    gives the period's 1-form.
     """
-    if kind is FunctionalKind.CANONICAL_TRACE:
-        signs, scale = (1, -1), 1.0 / (4 * pencil.N)
-    else:
-        signs, scale = (-1,), -1.0 / (2 * pencil.N)
-    tangent = pencil_matrix(dz, pencil.N).matrix
-    total = 0j
-    for sign in signs:
-        Y = scipy.linalg.lu_solve(
-            pencil.lu(sign), _tau_half(tangent, sign), overwrite_b=True, check_finite=False
-        )
-        total += complex(np.trace(Y))
-    return total * scale
+    _check_size(N)
+    blocks, scale = _READS[kind]
+    Z = np.asarray(Z, dtype=complex).reshape(-1, 4)
+    dZ = np.asarray(dZ, dtype=complex).reshape(-1, 4)
+    per = max(1, _BATCH_BYTES // (16 * len(blocks) * N * N))
+    out = np.empty(len(Z), dtype=complex)
+    for lo in range(0, len(Z), per):
+        factors = klein_lu(Z[lo : lo + per], N, blocks)
+        tangent = klein_blocks(dZ[lo : lo + per], N, blocks)
+        Y = np.empty_like(tangent)
+        for k in np.ndindex(tangent.shape[:-2]):
+            Y[k], _ = _GETRS(factors[0][k], factors[1][k], tangent[k], overwrite_b=True)
+        out[lo : lo + per] = np.einsum("kbii->k", Y)
+    return out * (scale / N)
 
 
 def oracle_functional(z_or_pencil, word: str, functional, N: int | None = None) -> complex:
@@ -363,11 +423,20 @@ def oracle_functional(z_or_pencil, word: str, functional, N: int | None = None) 
     if word not in WORDS:
         raise ValueError(f"unknown word {word!r}")
     kind = FunctionalKind.coerce(functional)
-    pencil = _as_pencil(z_or_pencil, N)
-    # phi~ reads P- alone but is defined only where all of P is invertible:
-    # P+ is factored too, so a singular truncation raises for both functionals
-    pencil.lu(1)
-    return _half_form(pencil, [float(w == word) for w in WORDS], kind)
+    if isinstance(z_or_pencil, CirculantPencil):
+        z, N = z_or_pencil.z, z_or_pencil.N
+    elif N is None:
+        raise ValueError("N is required when passing a pencil point")
+    else:
+        z = as_point(z_or_pencil)
+    z = z.as_array()
+    if kind is FunctionalKind.PHI_TENSOR_TRACE:
+        # phi~ reads the tau-odd blocks alone but is defined only where all
+        # of P is invertible: the tau-even blocks are factored too, so a
+        # singular truncation raises for both functionals
+        klein_lu(z, N, KLEIN_BLOCKS[:2])
+    onehot = [float(w == word) for w in WORDS]
+    return complex(_klein_form(z, onehot, N, kind)[0])
 
 
 def oracle_trace(z_or_pencil, word: str, N: int | None = None) -> complex:
@@ -434,13 +503,14 @@ def oracle_period(
     1-form along the loop, with step doubling through ``refine`` until two
     grids agree to ``residual_target``, then one Richardson step.  The
     pencil is linear in z, P(z) = sum_w z_w W_w, so on a tangent dz the
-    1-form is the functional on P^-1 P(dz), which ``_half_form`` takes
-    from LUs of the tau halves of the assembled truncation.  That uses
-    only how P and the functionals are built from the tau block swap,
-    neither the DFT nor the tau-parity symbol, so this route stays
-    independent of the fast path.  A phase unwrap of det P would need no
-    comparison but aliases: the phase turns 64 times around L1 at N = 32,
-    so coarse samples can pass the unwrap check with a wrong integer.
+    1-form is the functional on P^-1 P(dz), which ``_klein_form`` takes
+    from LUs of the N x N Klein blocks, assembled straight from (z, dz)
+    with no 4N x 4N matrix.  That uses only the right action of t and
+    tau on the truncation, neither the DFT nor the tau-parity symbol, so
+    this route stays independent of the fast path.  A phase unwrap of
+    det P would need no comparison but aliases: the phase turns 64 times
+    around L1 at N = 32, so coarse samples can pass the unwrap check with
+    a wrong integer.
     Sample values are reused across step doublings, keyed on the exact
     bytes of (z_j, dz_j): with an analytic derivative the even points of
     the 2n grid are bitwise the n grid; spectral derivatives never match.
@@ -453,14 +523,12 @@ def oracle_period(
         Z = loop.samples(nsteps)[:-1]
         _check_loop_margins(Z, N, loop.name)
         dz = loop.derivatives(nsteps)
-        vals = np.empty(len(Z), dtype=complex)
-        for j, (zj, dzj) in enumerate(zip(Z, dz)):
-            key = zj.tobytes() + dzj.tobytes()
-            if key not in cache:
-                cache[key] = _half_form(pencil_matrix(zj, N), dzj, kind)
-            vals[j] = cache[key]
+        keys = [zj.tobytes() + dzj.tobytes() for zj, dzj in zip(Z, dz)]
+        new = {key: j for j, key in enumerate(keys) if key not in cache}
+        rows = list(new.values())
+        cache.update(zip(new, _klein_form(Z[rows], dz[rows], N, kind)))
         # periodic trapezoid of the coefficient 1-form along the loop
-        return complex(vals.mean())
+        return complex(np.array([cache[key] for key in keys]).mean())
 
     what = f"oracle period on {loop.name}"
     return richardson(*refine(value_at, n, residual_target, max_steps, what))

@@ -8,8 +8,10 @@ test asserts one criterion and prints its pass/fail line.
 
 import pytest
 
-from dinfh.acceptance import CRITERIA, run_all
+from dinfh import selfsim
+from dinfh.acceptance import CRITERIA, criterion_8, run_all
 from dinfh.config import RunConfig
+from dinfh.group import GroupElement
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +55,23 @@ def test_criterion_9_specifics(results):
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 0.5
     assert results[9].timings["eigensolve_n5_seconds"] < 30.0
+
+
+class CoarseTreeAction(selfsim.TreeAction):
+    """A wrong representation that is still a homomorphism: level n sees k
+    modulo 2^(n-1) instead of 2^n, at every level of the recursion."""
+
+    def level_matrix(self, g, n):
+        k = g.k % (1 << max(n - 1, 0))
+        return super().level_matrix(GroupElement(k, g.t_flag, g.tau_flag), n)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_criterion_8_rejects_a_coarser_homomorphic_image(monkeypatch, seed):
+    monkeypatch.setattr(selfsim, "_DEFAULT_ACTION", CoarseTreeAction())
+    failures = criterion_8(RunConfig(seed=seed)).details["failures"]
+    assert "u does not have order 2^3 at level 3" in failures
+    assert any("letter-by-letter" in f for f in failures)
+    # the relations criterion 8 checked before hold for this image too
+    relations = ("homomorphism", "involutive", "commute")
+    assert not any(word in f for word in relations for f in failures)

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dinfh import loops, oracle
 from dinfh.errors import (
@@ -13,10 +15,12 @@ from dinfh.errors import (
 )
 from dinfh.group import FunctionalKind
 from dinfh.oracle import (
+    KLEIN_BLOCKS,
     MAX_DENSE_N,
     WORDS,
     circle_means,
     fft_angles,
+    klein_blocks,
     margin_grid,
     membership_margin,
     oracle_period,
@@ -155,6 +159,67 @@ def reference_twisted_period(loop, N, steps, residual_target=1e-6):
             return richardson(prev, cur)
         prev = cur
     raise AssertionError(f"reference period on {loop.name} did not stabilise")
+
+
+def reference_tau_half(matrix, sign):
+    """P+ = E + F (sign 1) or P- = E - F (sign -1) of P = [[E, F], [F, E]]."""
+    half = matrix.shape[0] // 2
+    return matrix[:half, :half] + sign * matrix[:half, half:]
+
+
+def reference_half_form(pencil, dz, kind):
+    """The tau-half 1-form kernel: the functional on P^-1 P(dz) from LUs of
+    the 2N halves P+- (phi~ reads P- alone)."""
+    if kind is FunctionalKind.CANONICAL_TRACE:
+        signs, scale = (1, -1), 1.0 / (4 * pencil.N)
+    else:
+        signs, scale = (-1,), -1.0 / (2 * pencil.N)
+    tangent = pencil_matrix(dz, pencil.N).matrix
+    total = 0j
+    for sign in signs:
+        lu = scipy.linalg.lu_factor(reference_tau_half(pencil.matrix, sign))
+        Y = scipy.linalg.lu_solve(
+            lu, reference_tau_half(tangent, sign), overwrite_b=True, check_finite=False
+        )
+        total += complex(np.trace(Y))
+    return total * scale
+
+
+def right_translation(h_index, N):
+    """Right translation by h as an index map i -> index of g_i h, built
+    from word_permutation alone by walking the left action: index 0 is the
+    identity, index i is the element g_i with g_i(0) = i, and applying a
+    generator to both entries of the pair (0, h_index) keeps it of the form
+    (i, index of g_i h)."""
+    perms = [word_permutation(w, N) for w in ("a", "t", "tau")]
+    image = np.full(4 * N, -1)
+    image[0] = h_index
+    frontier = [0]
+    while frontier:
+        reached = []
+        for i in frontier:
+            for sigma in perms:
+                j = sigma[i]
+                if image[j] < 0:
+                    image[j] = sigma[image[i]]
+                    reached.append(j)
+        frontier = reached
+    return image
+
+
+def klein_basis(N):
+    """Orthonormal Klein basis, one N-column group per (s, r) in KLEIN_BLOCKS:
+    (1/2)(d(e, m) + r d(t, -m) + s d(tau, m) + s r d(tau*t, -m))."""
+    m = np.arange(N)
+    neg = -m % N
+    U = np.zeros((4 * N, 4 * N))
+    for k, (s, r) in enumerate(KLEIN_BLOCKS):
+        cols = k * N + m
+        U[m, cols] = 0.5
+        U[N + neg, cols] = 0.5 * r
+        U[2 * N + m, cols] = 0.5 * s
+        U[3 * N + neg, cols] = 0.5 * s * r
+    return U
 
 
 def random_offspectrum_points(rng, count, require_margin=0.05):
@@ -358,6 +423,106 @@ class TestOracleTraces:
         assert abs(refined - truth) < abs(coarse - truth)
 
 
+class TestKleinSplit:
+    @pytest.mark.parametrize("N", [2, 3, 8, 32])
+    def test_right_translation_by_t(self, N):
+        t_index = word_permutation("t", N)[0]
+        rt = right_translation(t_index, N)
+        ident = np.arange(4 * N)
+        assert np.array_equal(rt[rt], ident)
+        assert np.all(rt != ident)
+        m = np.arange(N)
+        assert np.array_equal(rt[m], N + (-m % N))  # (e, m) -> (t, -m)
+        assert np.array_equal(rt[2 * N + m], 3 * N + (-m % N))  # (tau, m) -> (tau*t, -m)
+        for word in WORDS:
+            sigma = word_permutation(word, N)
+            assert np.array_equal(rt[sigma], sigma[rt])
+        # tau is central: right and left translation by tau agree
+        tau = word_permutation("tau", N)
+        assert np.array_equal(right_translation(tau[0], N), tau)
+        assert np.array_equal(rt[tau], tau[rt])
+
+    @pytest.mark.parametrize("N", [2, 3, 8, 32])
+    def test_pencil_is_block_diagonal_in_the_klein_basis(self, rng, N):
+        U = klein_basis(N)
+        assert np.array_equal(U.T @ U, np.eye(4 * N))
+        rt = right_translation(word_permutation("t", N)[0], N)
+        tau = word_permutation("tau", N)
+        for k, (s, r) in enumerate(KLEIN_BLOCKS):
+            cols = U[:, k * N : (k + 1) * N]
+            assert np.array_equal(cols[rt], r * cols)
+            assert np.array_equal(cols[tau], s * cols)
+        points = random_offspectrum_points(rng, 3) + [np.array([1.0, 0.0, -2.0, 0.5])]
+        for z in points:
+            B = U.T @ pencil_matrix(z, N).matrix @ U
+            direct = klein_blocks(z, N, KLEIN_BLOCKS)[0]
+            for k in range(4):
+                for j in range(4):
+                    block = B[k * N : (k + 1) * N, j * N : (j + 1) * N]
+                    expect = direct[k] if j == k else 0.0
+                    assert np.abs(block - expect).max() <= 1e-14
+
+    @pytest.mark.parametrize("N", [2, 3, 5, 16, 32, 33])
+    def test_kernel_matches_the_tau_half_reference(self, rng, N):
+        points = []
+        while len(points) < 3:
+            z = rng.uniform(-2, 2, 4) + 1j * rng.uniform(-1, 1, 4)
+            if margin_grid(z[None, :], N)[0] > 0.05:
+                points.append(z)
+        tangents = [np.eye(4)[i] for i in range(4)]
+        tangents += [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(3)]
+        for kind in FunctionalKind:
+            Z = np.array([z for z in points for _ in tangents])
+            dZ = np.array([dz for _ in points for dz in tangents])
+            got = oracle._klein_form(Z, dZ, N, kind)
+            for k, (z, dz) in enumerate(zip(Z, dZ)):
+                ref = reference_half_form(pencil_matrix(z, N), dz, kind)
+                assert abs(got[k] - ref) <= 1e-13 * abs(ref)
+
+    def test_lapack_sees_only_2d_blocks(self, monkeypatch):
+        # lu_factor and lu_solve batch N-D stacks only in recent SciPy, so
+        # the kernel hands LAPACK one N x N block per call
+        shapes = []
+
+        def only_2d(routine):
+            def call(*arrays, **kw):
+                shapes.extend(a.shape for a in arrays)
+                return routine(*arrays, **kw)
+            return call
+
+        monkeypatch.setattr(oracle, "_GETRF", only_2d(oracle._GETRF))
+        monkeypatch.setattr(oracle, "_GETRS", only_2d(oracle._GETRS))
+        oracle_period(loops.loop_L1(), "tr", N=8, steps=16, residual_target=1.0)
+        oracle_phitr(P, "a", N=8)
+        pencil_matrix(P, 8).lu(1, -1)
+        assert shapes and all(shape in ((8, 8), (8,)) for shape in shapes)
+
+    def test_pencil_is_immutable(self):
+        pencil = pencil_matrix(P, 8)
+        state = dict(vars(pencil))
+        matrix = pencil.matrix.copy()
+        first = pencil.lu(-1, 1)
+        for _ in range(2):
+            for s, r in KLEIN_BLOCKS:
+                pencil.lu(s, r)
+        again = pencil.lu(-1, 1)
+        assert vars(pencil).keys() == state.keys()
+        assert all(vars(pencil)[name] is value for name, value in state.items())
+        assert np.array_equal(pencil.matrix, matrix)
+        assert again[0] is not first[0]
+        assert np.array_equal(again[0], first[0]) and np.array_equal(again[1], first[1])
+        lu, piv = scipy.linalg.lu_factor(klein_blocks(P, 8, ((-1, 1),))[0, 0])
+        assert np.array_equal(first[0], lu) and np.array_equal(first[1], piv)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pencil.N = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pencil.matrix = matrix
+        with pytest.raises(ValueError):
+            pencil.matrix[0, 0] = 7.0
+        with pytest.raises(ValueError):
+            pencil.lu(1, 0)
+
+
 def scripted(values):
     """fn(n) returning (or raising) values[i] at its i-th call; records n."""
     calls = []
@@ -497,19 +662,21 @@ class TestOraclePeriods:
         ids=["analytic", "spectral"],
     )
     def test_twisted_samples_reused_across_doublings(self, monkeypatch, loop, samples):
-        # one LU per tau half a functional needs: P- for phi~, P+ and P- for Tr
+        # each Klein block a functional reads is factored once per sample:
+        # (-, +) and (-, -) for phi~, all four for Tr
         calls = []
-        lu = oracle.CirculantPencil.lu
-        monkeypatch.setattr(
-            oracle.CirculantPencil,
-            "lu",
-            lambda self, sign: calls.append(sign) or lu(self, sign),
-        )
+        klein_lu = oracle.klein_lu
+
+        def counted(Z, N, blocks):
+            calls.extend([tuple(blocks)] * len(Z))
+            return klein_lu(Z, N, blocks)
+
+        monkeypatch.setattr(oracle, "klein_lu", counted)
         oracle_period(loop, "phitr", N=16, steps=128)
-        assert calls == [-1] * samples
+        assert calls == [((-1, 1), (-1, -1))] * samples
         calls.clear()
         oracle_period(loop, "tr", N=16, steps=128)
-        assert calls == [1, -1] * samples
+        assert calls == [KLEIN_BLOCKS] * samples
 
 
 # grid angles and off-grid angles
