@@ -57,15 +57,12 @@ def _artifact(payload: dict, seed: int) -> dict:
     return {"schema_version": SCHEMA_VERSION, "seed": seed, **payload}
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text)
-    sys.stdout.write(text)
-
-
-def _emit_lines(lines, out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(artifact, out: str | None) -> None:
+    """Write a JSON payload (a dict) or text lines to ``out``, else to stdout."""
+    if isinstance(artifact, dict):
+        text = json.dumps(artifact, sort_keys=True, indent=2) + "\n"
+    else:
+        text = "\n".join(artifact) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -212,7 +209,7 @@ def _cmd_slice(args) -> int:
         (args.grid[0], args.grid[1], tuple(args.u_range), tuple(args.v_range)),
         tol=args.tol,
     )
-    _emit_lines(raster_csv_lines(u, v, margin, inside), args.out)
+    _emit(raster_csv_lines(u, v, margin, inside), args.out)
     return 0
 
 
@@ -248,7 +245,7 @@ def _cmd_mc_check(args) -> int:
         for j in range(4):
             lines.append(f"{AXIS_NAMES[i]},{AXIS_NAMES[j]},{float(res[i, j])!r}")
     lines.append(f"# max residual: {float(res.max())!r}")
-    _emit_lines(lines, args.out)
+    _emit(lines, args.out)
     return 0
 
 
@@ -286,13 +283,13 @@ def _cmd_independence(args) -> int:
 def _cmd_tree(args) -> int:
     g = parse_word(args.element)
     lm = selfsim.level_matrix(g, args.level)
-    _emit_lines(lm.dump_lines(), args.out)
+    _emit(lm.dump_lines(), args.out)
     return 0
 
 
 def _cmd_tree_spectrum(args) -> int:
     lines = selfsim.eigenvalue_csv_lines(args.z1, args.z2, args.z3, args.level)
-    _emit_lines(lines, args.out)
+    _emit(lines, args.out)
     return 0
 
 

@@ -18,14 +18,14 @@ the truncation's singular values are those of the 2N blocks, and
 normalized traces of (pencil^-1 * word) are the N-node trapezoid rule of
 closed-form rational functions of G+- (the *true* trace integrands).
 
-The dense route (assembled matrix, N <= MAX_DENSE_N) is the
-boundary-effect-free adjudicator of membership margins, trace formulas
-and loop periods; the tau-parity 2x2 split is the fast path that serves
-the membership sweeps and quadratures, and its exact circle means
-(``circle_means``, by the residue theorem) give the loop coefficients and
-the potential with no quadrature at all.
+The truncation (N <= MAX_DENSE_N) is the boundary-effect-free
+adjudicator of trace formulas and loop periods, assembled densely only as
+a reference (``pencil_matrix``, ``klein_blocks``); the tau-parity 2x2
+split is the fast path that serves the membership margins, sweeps and
+quadratures, and its exact circle means (``circle_means``, by the residue
+theorem) give the loop coefficients and the potential with no quadrature.
 
-The dense traces and periods use only the group structure of the
+The oracle traces and periods use only the group structure of the
 truncation, neither the DFT nor the 2x2 symbol, so they stay independent
 of the fast path.  The truncation is the left regular representation of
 the finite group D_N x Z_2 of order 4N: a, t and tau are involutions,
@@ -54,13 +54,15 @@ tau-odd ones, so
     Tr(P^-1 X)   = sum_{s,r} Tr(P_{s,r}^-1 X_{s,r}),
     phi~(P^-1 X) = (1/4N) Tr(P^-1 X (Q - I)) = -(1/2N) sum_r Tr(P_{-,r}^-1 X_{-,r}).
 
-This is not the DFT.  J and K are the reflections m -> -m and
-m -> 1 - m of the dihedral action on Z_N; the split diagonalizes only the
-two involutions R_t and R_tau, never the shift u = KJ, so each block
-stays a dense N x N matrix in the position basis with entries z0 +- z3
-and +-z1, +-z2 (no twiddle factors), and it is solved by LU.  The four
-blocks replace one LU of the 4N matrix (or two of its 2N tau halves) by
-four of size N: a quarter of the LU and solve flops of the tau halves.
+This is not the DFT: the split diagonalizes only the involutions R_t and
+R_tau, never the shift u = KJ.  The Schreier graph of <J, K> on Z_N is
+the path 0 -K- 1 -J- -1 -K- 2 -J- -2 ... (``path_order``), with a loop
+where J or K fixes a vertex: J fixes 0, and the last vertex is fixed by J
+(N even) or K (N odd).  In path order each block is tridiagonal, with
+r z1, r z2 alternating off the diagonal, and a trace needs one column of
+each (``_klein_form``):
+
+    Tr(P^-1 X) = N sum_{s,r} (P_{s,r}^-1 X_{s,r} e_0)_0.
 """
 
 from __future__ import annotations
@@ -85,19 +87,14 @@ MAX_DENSE_N = 1024
 
 # the Klein blocks (s, r): tau acts by s and right translation by t by r
 KLEIN_BLOCKS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-# the blocks each functional reads, and its scale times N
-_READS = {
-    FunctionalKind.CANONICAL_TRACE: (KLEIN_BLOCKS, 0.25),
-    FunctionalKind.PHI_TENSOR_TRACE: (KLEIN_BLOCKS[2:], -0.5),
+# each functional's weight on the (P_{s,r}^-1 X_{s,r} e_0)_0 of the blocks
+_WEIGHTS = {
+    FunctionalKind.CANONICAL_TRACE: (0.25, 0.25, 0.25, 0.25),
+    FunctionalKind.PHI_TENSOR_TRACE: (0.0, 0.0, -0.5, -0.5),
 }
-# a stack of Klein blocks holds at most this many bytes, unless one point's
-# blocks alone are larger: 1 MiB stacks took twice the page faults of
-# 256 KiB ones (past the import's) and ran no faster
-_BATCH_BYTES = 1 << 18
 
-# LAPACK's complex LU and LU solve, as called by scipy.linalg.lu_factor
-# and lu_solve on one 2-D block
-_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=complex)
+# LAPACK's complex tridiagonal solve (LU with partial pivoting)
+_GTSV = scipy.linalg.get_lapack_funcs("gtsv", dtype=complex)
 
 # block positions of tau (cosets e <-> tau, t <-> tau*t)
 _TAU_BLOCKS = ((0, 2), (1, 3), (2, 0), (3, 1))
@@ -170,23 +167,36 @@ def klein_blocks(Z, N: int, blocks) -> np.ndarray:
     return out
 
 
-def klein_lu(Z, N: int, blocks) -> tuple:
-    """LU factorizations of the Klein blocks P_{s,r} at points Z (n, 4).
+@functools.lru_cache(maxsize=64)
+def path_order(N: int) -> np.ndarray:
+    """Z_N along the Schreier path 0 -K- 1 -J- -1 -K- 2 ... of J and K.
 
-    Returns (lu, piv) stacked as in ``klein_blocks``, in the format of
-    ``scipy.linalg.lu_factor``; SingularTruncation is raised if any
-    factored block has a pivot below LU_PIVOT_TOL.  LAPACK factors one 2-D
-    block per call, so the stack is walked block by block.
+    Position i holds vertex (i + 1) // 2 for odd i and -(i // 2) for even
+    i (mod N).  Cached per N, read-only.
     """
-    stack = klein_blocks(Z, N, blocks)
-    lu = np.empty_like(stack)
-    piv = np.empty(stack.shape[:-1], dtype=np.int32)
-    for k in np.ndindex(stack.shape[:-2]):
-        # an exactly zero pivot (info > 0) is caught by the check below
-        lu[k], piv[k], _ = _GETRF(stack[k], overwrite_a=True)
-    if np.abs(np.diagonal(lu, axis1=-2, axis2=-1)).min() < LU_PIVOT_TOL:
-        raise SingularTruncation(f"pencil truncation at N={N} is numerically singular")
-    return lu, piv
+    _check_size(N)
+    i = np.arange(N)
+    order = np.where(i % 2 == 1, (i + 1) // 2, -(i // 2)) % N
+    order.setflags(write=False)
+    return order
+
+
+def jacobi_blocks(Z, N: int) -> tuple:
+    """The Klein blocks at points Z (n, 4), tridiagonal in ``path_order``.
+
+    Returns (off, diag), of shapes (n, 4, N - 1) and (n, 4, N) in
+    KLEIN_BLOCKS order.  Edges from even positions are K, from odd ones J;
+    J loops at vertex 0 (first), and J or K (N even or odd) at the last.
+    """
+    _check_size(N)
+    Z = np.asarray(Z, dtype=complex).reshape(-1, 4)
+    s, r = np.array(KLEIN_BLOCKS, dtype=float).T[..., None]
+    z0, z1, z2, z3 = (Z[:, i, None, None] for i in range(4))
+    off = r * np.where(np.arange(N - 1) % 2 == 0, z1, z2)
+    loops = np.zeros((len(Z), 1, N), dtype=complex)
+    loops[..., :1] = z2
+    loops[..., -1:] += z2 if N % 2 == 0 else z1
+    return off, (z0 + s * z3) + r * loops
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,11 +208,15 @@ class CirculantPencil:
     matrix: np.ndarray
 
     def lu(self, s: int, r: int) -> tuple:
-        """LU of the Klein block P_{s,r}, factored on each call, not stored."""
+        """Dense ``lu_factor`` of the Klein block P_{s,r} on each call, not
+        stored; SingularTruncation if a pivot is below LU_PIVOT_TOL."""
         if (s, r) not in KLEIN_BLOCKS:
             raise ValueError(f"no Klein block ({s}, {r})")
-        lu, piv = klein_lu(self.z.as_array(), self.N, ((s, r),))
-        return lu[0, 0], piv[0, 0]
+        block = klein_blocks(self.z.as_array(), self.N, ((s, r),))[0, 0]
+        lu, piv = scipy.linalg.lu_factor(block)
+        if np.abs(np.diagonal(lu)).min() < LU_PIVOT_TOL:
+            raise SingularTruncation(f"pencil truncation at N={self.N} is numerically singular")
+        return lu, piv
 
 
 def pencil_matrix(z, N: int) -> CirculantPencil:
@@ -337,20 +351,11 @@ def symbol_integrand(z, word: str, functional, thetas) -> np.ndarray:
 # membership margins
 
 
-def membership_margin(z, N: int, method: str = "symbol") -> float:
-    """Smallest singular value of the size-N truncation.
-
-    ``method="dense"`` computes it from the assembled matrix;
-    ``method="symbol"`` from the tau-parity blocks (identical up to
-    roundoff, O(N) instead of O(N^3)).
-    """
-    if method == "dense":
-        pencil = z if isinstance(z, CirculantPencil) else pencil_matrix(z, N)
-        return float(np.linalg.svd(pencil.matrix, compute_uv=False)[-1])
-    if method == "symbol":
-        z = as_point(z)
-        return float(margin_grid(z.as_array()[None, :], N)[0])
-    raise ValueError(f"unknown method {method!r}")
+def membership_margin(z, N: int) -> float:
+    """Smallest singular value of the size-N truncation, from its 2N
+    tau-parity blocks (``margin_grid``)."""
+    z = as_point(z)
+    return float(margin_grid(z.as_array()[None, :], N)[0])
 
 
 def _block_sigma_min(d, w, wbar, hermitian: bool) -> np.ndarray:
@@ -395,58 +400,62 @@ def margin_grid(points: np.ndarray, N: int, chunk: int = 512) -> np.ndarray:
 def _klein_form(Z, dZ, N: int, kind: FunctionalKind) -> np.ndarray:
     """The functional on P(z)^-1 P(dz) for points Z and tangents dZ (n, 4).
 
-    Each Klein block the functional reads (all four for Tr, the tau-odd
-    two for phi~) is factored once per point and solved against its N
-    columns of X = P(dz); the traces of the solutions add up as in the
-    module docstring.  Points are stacked at most _BATCH_BYTES per array.
     A one-hot dz gives a word's oracle value; along a loop, dz = z'(s)
-    gives the period's 1-form.
+    gives the period's 1-form.  It is sum_{s,r} w_{s,r} y_{s,r}, with
+    y_{s,r} = (P_{s,r}^-1 X_{s,r} e_0)_0, X = P(dz) and the weights w of
+    _WEIGHTS: 1/4 on every block for Tr, -1/2 on the tau-odd ones for phi~.
+
+    Proof.  The tau half s, spanned by d(g, m) + s d(tau g, m) for g in the
+    cosets e and t, is the left regular representation of D_N, where
+    Tr A = 2N <v, A v> with v = (d(e, 0) + s d(tau, 0)) / sqrt 2 at the
+    identity.  As v = (b_{s,+}(0) + b_{s,-}(0)) / sqrt 2 in the Klein bases
+    and A = P^-1 X is block diagonal there, sum_r Tr(P_{s,r}^-1 X_{s,r}) =
+    N sum_r y_{s,r}; the module docstring's sums for Tr and phi~ weight
+    r = +1 and -1 alike, so they become the sums above.  (One block alone
+    is not regular: for odd N, K has trace 1 and (0, 0) entry 0.)  Vertex
+    0 heads the path, and X_{s,r} e_0 = (dz0 + s dz3 + r dz2) e_0 + r dz1 e_1.
+
+    Each block takes one LAPACK gtsv, which also returns U's diagonal;
+    SingularTruncation is raised for an exactly zero pivot (info > 0) or
+    one below LU_PIVOT_TOL.  As in dense getrf, partial pivoting keeps
+    |L| <= 1, so a pivot u_kk leaves the first k columns of the
+    row-permuted block within |u_kk| |L e_k| <= sqrt(2) |u_kk| of rank
+    k - 1: the block's smallest singular value is below sqrt(2) |u_kk|.
+    All four blocks are solved for both functionals, as phi~ needs all of
+    P invertible.
     """
-    _check_size(N)
-    blocks, scale = _READS[kind]
-    Z = np.asarray(Z, dtype=complex).reshape(-1, 4)
+    off, diag = jacobi_blocks(Z, N)
     dZ = np.asarray(dZ, dtype=complex).reshape(-1, 4)
-    per = max(1, _BATCH_BYTES // (16 * len(blocks) * N * N))
-    out = np.empty(len(Z), dtype=complex)
-    for lo in range(0, len(Z), per):
-        factors = klein_lu(Z[lo : lo + per], N, blocks)
-        tangent = klein_blocks(dZ[lo : lo + per], N, blocks)
-        Y = np.empty_like(tangent)
-        for k in np.ndindex(tangent.shape[:-2]):
-            Y[k], _ = _GETRS(factors[0][k], factors[1][k], tangent[k], overwrite_b=True)
-        out[lo : lo + per] = np.einsum("kbii->k", Y)
-    return out * (scale / N)
+    s, r = np.array(KLEIN_BLOCKS, dtype=float).T
+    rhs = np.zeros(diag.shape, dtype=complex)
+    rhs[..., 0] = dZ[:, 0, None] + s * dZ[:, 3, None] + r * dZ[:, 2, None]
+    rhs[..., 1] = r * dZ[:, 1, None]
+    y = np.empty(diag.shape[:-1], dtype=complex)
+    for k in np.ndindex(y.shape):
+        _, pivots, _, x, info = _GTSV(off[k], diag[k], off[k], rhs[k])
+        if info > 0 or np.abs(pivots).min() < LU_PIVOT_TOL:
+            raise SingularTruncation(f"pencil truncation at N={N} is numerically singular")
+        y[k] = x[0]
+    return y @ np.array(_WEIGHTS[kind])
 
 
-def oracle_functional(z_or_pencil, word: str, functional, N: int | None = None) -> complex:
+def oracle_functional(z, word: str, functional, N: int) -> complex:
     """The functional on pencil^-1 * word matrix: the word's one-hot tangent."""
     if word not in WORDS:
         raise ValueError(f"unknown word {word!r}")
     kind = FunctionalKind.coerce(functional)
-    if isinstance(z_or_pencil, CirculantPencil):
-        z, N = z_or_pencil.z, z_or_pencil.N
-    elif N is None:
-        raise ValueError("N is required when passing a pencil point")
-    else:
-        z = as_point(z_or_pencil)
-    z = z.as_array()
-    if kind is FunctionalKind.PHI_TENSOR_TRACE:
-        # phi~ reads the tau-odd blocks alone but is defined only where all
-        # of P is invertible: the tau-even blocks are factored too, so a
-        # singular truncation raises for both functionals
-        klein_lu(z, N, KLEIN_BLOCKS[:2])
     onehot = [float(w == word) for w in WORDS]
-    return complex(_klein_form(z, onehot, N, kind)[0])
+    return complex(_klein_form(as_point(z).as_array(), onehot, N, kind)[0])
 
 
-def oracle_trace(z_or_pencil, word: str, N: int | None = None) -> complex:
+def oracle_trace(z, word: str, N: int) -> complex:
     """(1/4N) * trace(pencil^-1 * word matrix)."""
-    return oracle_functional(z_or_pencil, word, FunctionalKind.CANONICAL_TRACE, N)
+    return oracle_functional(z, word, FunctionalKind.CANONICAL_TRACE, N)
 
 
-def oracle_phitr(z_or_pencil, word: str, N: int | None = None) -> complex:
+def oracle_phitr(z, word: str, N: int) -> complex:
     """Twisted functional phi~(pencil^-1 * word matrix)."""
-    return oracle_functional(z_or_pencil, word, FunctionalKind.PHI_TENSOR_TRACE, N)
+    return oracle_functional(z, word, FunctionalKind.PHI_TENSOR_TRACE, N)
 
 
 def richardson(coarse: complex, fine: complex) -> complex:
@@ -504,31 +513,20 @@ def oracle_period(
     grids agree to ``residual_target``, then one Richardson step.  The
     pencil is linear in z, P(z) = sum_w z_w W_w, so on a tangent dz the
     1-form is the functional on P^-1 P(dz), which ``_klein_form`` takes
-    from LUs of the N x N Klein blocks, assembled straight from (z, dz)
-    with no 4N x 4N matrix.  That uses only the right action of t and
-    tau on the truncation, neither the DFT nor the tau-parity symbol, so
-    this route stays independent of the fast path.  A phase unwrap of
+    from one tridiagonal solve per Klein block.  A phase unwrap of
     det P would need no comparison but aliases: the phase turns 64 times
     around L1 at N = 32, so coarse samples can pass the unwrap check with
     a wrong integer.
-    Sample values are reused across step doublings, keyed on the exact
-    bytes of (z_j, dz_j): with an analytic derivative the even points of
-    the 2n grid are bitwise the n grid; spectral derivatives never match.
     """
+    _check_size(N)  # before the loop margins allocate (samples, N) arrays
     kind = FunctionalKind.coerce(functional)
     n = loop.steps if steps is None else int(steps)
-    cache: dict[bytes, complex] = {}
 
     def value_at(nsteps: int) -> complex:
         Z = loop.samples(nsteps)[:-1]
         _check_loop_margins(Z, N, loop.name)
-        dz = loop.derivatives(nsteps)
-        keys = [zj.tobytes() + dzj.tobytes() for zj, dzj in zip(Z, dz)]
-        new = {key: j for j, key in enumerate(keys) if key not in cache}
-        rows = list(new.values())
-        cache.update(zip(new, _klein_form(Z[rows], dz[rows], N, kind)))
         # periodic trapezoid of the coefficient 1-form along the loop
-        return complex(np.array([cache[key] for key in keys]).mean())
+        return complex(_klein_form(Z, loop.derivatives(nsteps), N, kind).mean())
 
     what = f"oracle period on {loop.name}"
     return richardson(*refine(value_at, n, residual_target, max_steps, what))

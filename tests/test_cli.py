@@ -222,6 +222,32 @@ class TestDeterminism:
         assert f1.read_bytes() == f2.read_bytes()
 
 
+class TestOutFile:
+    def run(self, tmp_path, stdout):
+        out_file = tmp_path / "m.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dinfh.cli", "membership", "--z", "1", "8", "4", "2",
+             "--out", str(out_file)],
+            env={**os.environ, "PYTHONPATH": str(Path(dinfh.__file__).resolve().parents[1])},
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out_file.read_text())["in_spectrum"] is False
+        return proc
+
+    def test_writes_the_file_and_nothing_to_stdout(self, tmp_path):
+        assert self.run(tmp_path, subprocess.PIPE).stdout == ""
+
+    def test_closed_stdout_pipe_gives_no_traceback(self, tmp_path):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self.run(tmp_path, write)
+        finally:
+            os.close(write)
+        assert "Traceback" not in proc.stderr
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -20,6 +20,7 @@ from dinfh.oracle import (
     WORDS,
     circle_means,
     fft_angles,
+    jacobi_blocks,
     klein_blocks,
     margin_grid,
     membership_margin,
@@ -27,6 +28,7 @@ from dinfh.oracle import (
     parity_blocks,
     oracle_phitr,
     oracle_trace,
+    path_order,
     pencil_matrix,
     pencil_symbol,
     refine,
@@ -86,6 +88,11 @@ def apply_functional(X, functional):
         return 0.25 * diag
     anti = X[..., 0, 2] + X[..., 1, 3] + X[..., 2, 0] + X[..., 3, 1]
     return 0.25 * (anti - diag)
+
+
+def dense_margin(z, N):
+    """Smallest singular value of the assembled 4N x 4N truncation."""
+    return float(np.linalg.svd(pencil_matrix(z, N).matrix, compute_uv=False)[-1])
 
 
 def reference_integrand(z, word, functional, thetas):
@@ -310,15 +317,13 @@ class TestMargins:
     @pytest.mark.parametrize("N", [2, 3, 4, 8, 16])
     def test_symbol_equals_dense(self, rng, N):
         z = rng.uniform(-2, 2, 4) + 1j * rng.uniform(-1, 1, 4)
-        dense = membership_margin(z, N, method="dense")
-        fast = membership_margin(z, N, method="symbol")
-        assert fast == pytest.approx(dense, abs=1e-11)
+        fast = membership_margin(z, N)
+        assert fast == pytest.approx(dense_margin(z, N), abs=1e-11)
 
     def test_symbol_equals_dense_real(self, rng):
         z = rng.uniform(-2, 2, 4)
-        dense = membership_margin(z, 8, method="dense")
-        fast = membership_margin(z, 8, method="symbol")
-        assert fast == pytest.approx(dense, abs=1e-12)
+        fast = membership_margin(z, 8)
+        assert fast == pytest.approx(dense_margin(z, 8), abs=1e-12)
 
     def test_homogeneity(self, rng):
         z = rng.uniform(-2, 2, 4)
@@ -356,7 +361,7 @@ class TestOracleTraces:
             for N in (16, 64):
                 pencil = pencil_matrix(z, N)
                 for word in WORDS:
-                    assert abs(oracle_phitr(pencil, word) - reference_phitr(pencil, word)) <= 1e-12
+                    assert abs(oracle_phitr(z, word, N) - reference_phitr(pencil, word)) <= 1e-12
 
     def test_trace_matches_full_inverse(self, rng):
         points = [P, (2, 0, 0, 1)] + random_offspectrum_points(rng, 3)
@@ -364,7 +369,7 @@ class TestOracleTraces:
             for N in (16, 64):
                 pencil = pencil_matrix(z, N)
                 for word in WORDS:
-                    assert abs(oracle_trace(pencil, word) - reference_trace(pencil, word)) <= 1e-12
+                    assert abs(oracle_trace(z, word, N) - reference_trace(pencil, word)) <= 1e-12
 
     def test_phitr_unknown_word(self):
         with pytest.raises(ValueError):
@@ -381,6 +386,15 @@ class TestOracleTraces:
         with pytest.raises(SingularTruncation):
             oracle_phitr(z, "e", 8)
 
+    def test_small_pivot_raises_on_both_routes(self):
+        # block (+, -) is I - (1 - 1e-14) K, and K pairs m with 1 - m for
+        # even N: both LUs meet the pivot 1 - (1 - 1e-14)^2, small but not 0
+        z = (1.0, 1.0 - 1e-14, 0.0, 0.0)
+        with pytest.raises(SingularTruncation):
+            oracle_trace(z, "e", 8)
+        with pytest.raises(SingularTruncation):
+            pencil_matrix(z, 8).lu(1, -1)
+
     def test_dense_size_cap(self):
         # raised before the (4N)^2 matrix is allocated
         assert MAX_DENSE_N == 1024
@@ -391,13 +405,12 @@ class TestOracleTraces:
         # the truncation is exactly the theta-sampled symbol: the oracle
         # value must equal the plain average of the pointwise integrand
         for z in random_offspectrum_points(rng, 3):
-            pencil = pencil_matrix(z, 16)
             for word in WORDS:
                 for kind in FunctionalKind:
                     direct = (
-                        oracle_trace(pencil, word)
+                        oracle_trace(z, word, 16)
                         if kind is FunctionalKind.CANONICAL_TRACE
-                        else oracle_phitr(pencil, word)
+                        else oracle_phitr(z, word, 16)
                     )
                     mean = symbol_integrand(z, word, kind, fft_angles(16)).mean()
                     assert direct == pytest.approx(mean, abs=1e-12)
@@ -479,24 +492,6 @@ class TestKleinSplit:
                 ref = reference_half_form(pencil_matrix(z, N), dz, kind)
                 assert abs(got[k] - ref) <= 1e-13 * abs(ref)
 
-    def test_lapack_sees_only_2d_blocks(self, monkeypatch):
-        # lu_factor and lu_solve batch N-D stacks only in recent SciPy, so
-        # the kernel hands LAPACK one N x N block per call
-        shapes = []
-
-        def only_2d(routine):
-            def call(*arrays, **kw):
-                shapes.extend(a.shape for a in arrays)
-                return routine(*arrays, **kw)
-            return call
-
-        monkeypatch.setattr(oracle, "_GETRF", only_2d(oracle._GETRF))
-        monkeypatch.setattr(oracle, "_GETRS", only_2d(oracle._GETRS))
-        oracle_period(loops.loop_L1(), "tr", N=8, steps=16, residual_target=1.0)
-        oracle_phitr(P, "a", N=8)
-        pencil_matrix(P, 8).lu(1, -1)
-        assert shapes and all(shape in ((8, 8), (8,)) for shape in shapes)
-
     def test_pencil_is_immutable(self):
         pencil = pencil_matrix(P, 8)
         state = dict(vars(pencil))
@@ -521,6 +516,50 @@ class TestKleinSplit:
             pencil.matrix[0, 0] = 7.0
         with pytest.raises(ValueError):
             pencil.lu(1, 0)
+
+
+def path_generators(N):
+    """The generator joining positions i and i + 1 of the path, and the one
+    fixing each fixed position: J: m -> -m, K: m -> 1 - m (mod N)."""
+    order = path_order(N)
+    J, K = -order % N, (1 - order) % N
+    edges = ["K" if K[i] == order[i + 1] else "J" if J[i] == order[i + 1] else "?"
+             for i in range(N - 1)]
+    loops = {i: g for i in range(N) for g, image in (("J", J), ("K", K)) if image[i] == order[i]}
+    return edges, loops
+
+
+class TestPathOrder:
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 33, 64])
+    def test_is_a_read_only_permutation(self, N):
+        order = path_order(N)
+        assert np.array_equal(np.sort(order), np.arange(N))
+        assert list(order[:3]) == [0, 1, -1 % N][:N]
+        with pytest.raises(ValueError):
+            order[0] = 1
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 33, 64])
+    def test_klein_blocks_are_tridiagonal_in_path_order(self, rng, N):
+        order = path_order(N)
+        i, j = np.indices((N, N))
+        for z in random_offspectrum_points(rng, 2) + [np.array([1.0, 0.5, -2.0, 0.5])]:
+            dense = klein_blocks(z, N, KLEIN_BLOCKS)[0][:, order][:, :, order]
+            assert np.all(dense[:, np.abs(i - j) > 1] == 0)
+            off, diag = jacobi_blocks(z, N)
+            for k in range(4):
+                assert np.array_equal(dense[k].diagonal(), diag[0, k])
+                assert np.array_equal(dense[k].diagonal(1), off[0, k])
+                assert np.array_equal(dense[k].diagonal(-1), off[0, k])
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 33, 64])
+    def test_edges_alternate_and_loops_sit_at_the_ends(self, N):
+        edges, loops = path_generators(N)
+        if N == 2:
+            # K swaps 0 and 1; J fixes both
+            assert edges == ["K"] and loops == {0: "J", 1: "J"}
+            return
+        assert edges == ["K" if i % 2 == 0 else "J" for i in range(N - 1)]
+        assert loops == {0: "J", N - 1: "J" if N % 2 == 0 else "K"}
 
 
 def scripted(values):
@@ -623,6 +662,11 @@ class TestOraclePeriods:
         val = oracle_period(loops.loop_L2(), "phitr", N=16, steps=128)
         assert abs(val) <= 1e-6
 
+    def test_size_cap_before_the_loop_margins(self):
+        # N = 2^40 would make the margin check ask for 2^40 angles first
+        with pytest.raises(TruncationTooLarge):
+            oracle_period(loops.loop_L1(), "tr", N=2**40)
+
     def test_loop_through_spectrum_rejected(self):
         bad = loops.circle_loop([1.0, 0, 0, 1.5], 0.5, ["z0"], name="bad")
         with pytest.raises(LoopHitsSpectrum):
@@ -655,28 +699,26 @@ class TestOraclePeriods:
         assert abs(val - reference_canonical_period(loop, 16, loop.steps)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "loop, samples",
-        # analytic dz: the coarse grid is the even half of the fine one;
-        # spectral dz changes with the grid, so nothing is reused
-        [(loops.loop_L1(), 256), (loops.LoopPath(loops.loop_L1().fn), 128 + 256)],
+        "loop",
+        # analytic and spectral dz: either way both grids solve every sample
+        [loops.loop_L1(), loops.LoopPath(loops.loop_L1().fn)],
         ids=["analytic", "spectral"],
     )
-    def test_twisted_samples_reused_across_doublings(self, monkeypatch, loop, samples):
-        # each Klein block a functional reads is factored once per sample:
-        # (-, +) and (-, -) for phi~, all four for Tr
-        calls = []
-        klein_lu = oracle.klein_lu
+    def test_four_tridiagonal_solves_per_sample_per_grid(self, monkeypatch, loop):
+        # 128 and 256 steps: one gtsv per Klein block and sample, on the
+        # N - 1 off-diagonals, the N diagonal entries and one N-vector
+        shapes = []
+        gtsv = oracle._GTSV
 
-        def counted(Z, N, blocks):
-            calls.extend([tuple(blocks)] * len(Z))
-            return klein_lu(Z, N, blocks)
+        def counted(*arrays, **kw):
+            shapes.append(tuple(a.shape for a in arrays))
+            return gtsv(*arrays, **kw)
 
-        monkeypatch.setattr(oracle, "klein_lu", counted)
-        oracle_period(loop, "phitr", N=16, steps=128)
-        assert calls == [((-1, 1), (-1, -1))] * samples
-        calls.clear()
-        oracle_period(loop, "tr", N=16, steps=128)
-        assert calls == [KLEIN_BLOCKS] * samples
+        monkeypatch.setattr(oracle, "_GTSV", counted)
+        for functional in ("phitr", "tr"):
+            shapes.clear()
+            oracle_period(loop, functional, N=16, steps=128)
+            assert shapes == [((15,), (16,), (15,), (16,))] * 4 * (128 + 256)
 
 
 # grid angles and off-grid angles
@@ -749,8 +791,7 @@ class TestParitySplit:
     @pytest.mark.parametrize("N", [2, 3, 8])
     def test_margins_match_dense_svd(self, rng, N):
         for z in list(split_test_points(rng, 5)) + [rng.uniform(-2, 2, 4)]:
-            dense = membership_margin(z, N, method="dense")
-            assert margin_grid(z[None, :], N)[0] == pytest.approx(dense, abs=1e-13)
+            assert margin_grid(z[None, :], N)[0] == pytest.approx(dense_margin(z, N), abs=1e-13)
 
     @pytest.mark.parametrize(
         "z",

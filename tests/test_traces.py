@@ -228,12 +228,11 @@ class TestClosedForm:
 
     def test_match_dense_oracle_at_p(self):
         # |zeta| <= 0.63 at P: the N = 128 truncation is exact to |zeta|^N < 1e-25
-        pencil = oracle.pencil_matrix(P, 128)
         tr = loop_coefficients(np.array([P], dtype=complex), "tr")[0]
         phi = loop_coefficients(np.array([P], dtype=complex), "phitr")[0]
         for i, word in enumerate(oracle.WORDS):
-            assert tr[i] == pytest.approx(oracle.oracle_trace(pencil, word), abs=1e-14)
-            assert phi[i] == pytest.approx(oracle.oracle_phitr(pencil, word), abs=1e-14)
+            assert tr[i] == pytest.approx(oracle.oracle_trace(P, word, 128), abs=1e-14)
+            assert phi[i] == pytest.approx(oracle.oracle_phitr(P, word, 128), abs=1e-14)
 
     @pytest.mark.parametrize("z", [(2, 1, 1, 0), (0, 1, 1, 2)])
     def test_on_spectrum_raises(self, z):
