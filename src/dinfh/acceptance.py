@@ -53,7 +53,7 @@ def criterion_1(config: RunConfig) -> CriterionResult:
     t0 = time.perf_counter()
     rng = _rng(config, 1)
     pts = rng.uniform(-2.0, 2.0, size=(10_000, 4))
-    cf_margin, cf_in = membership_grid(pts.astype(complex), tol=config.membership_tol)
+    cf_margin, cf_in = membership_grid(pts.astype(complex))
     or_margin = oracle.margin_grid(pts.astype(complex), N=256)
     or_in = or_margin < 1e-3
     mismatch = cf_in != or_in
@@ -78,7 +78,7 @@ def criterion_1(config: RunConfig) -> CriterionResult:
 def criterion_2(config: RunConfig) -> CriterionResult:
     """p = (1, 8, 4, 2) is a resolvent point with a stable oracle margin."""
     t0 = time.perf_counter()
-    res = membership(P_POINT, tol=config.membership_tol)
+    res = membership(P_POINT)
     m256 = oracle.membership_margin(P_POINT, 256)
     m512 = oracle.membership_margin(P_POINT, 512)
     drift = abs(m512 - m256) / m256
@@ -118,10 +118,8 @@ def criterion_3(config: RunConfig) -> CriterionResult:
     points.extend(_random_resolvent_points(rng, 20, 3.0, 0.1))
     worst = 0.0
     for z in points:
-        grad = traces.potential_gradient(z, step=1e-5)
-        coeff = traces.trace_coefficients(
-            z, FunctionalKind.CANONICAL_TRACE, target=config.quad_target
-        )
+        grad = traces.potential_gradient(z)
+        coeff = traces.trace_coefficients(z, FunctionalKind.CANONICAL_TRACE)
         worst = max(worst, float(np.abs(grad - coeff).max()))
     passed = worst <= 1e-6
     return CriterionResult(
@@ -138,14 +136,10 @@ def criterion_4(config: RunConfig) -> CriterionResult:
     t0 = time.perf_counter()
     tr_e_exact = 0.5 / math.sqrt(2145.0) - 1.5 / math.sqrt(945.0)
     phi_a_exact = -(1.0 / 16.0 + 49.0 / (16.0 * math.sqrt(2145.0)))
-    quad_tr_e = traces.trace_quadrature(
-        traces.TraceRequest(P_POINT, "tr", "e", config.default_n_nodes)
-    )
-    oracle_tr_e = oracle.oracle_trace(P_POINT, "e", config.default_N)
-    quad_phi_a = traces.trace_quadrature(
-        traces.TraceRequest(P_POINT, "phitr", "a", config.default_n_nodes)
-    )
-    oracle_phi_a = oracle.oracle_phitr(P_POINT, "a", config.default_N)
+    quad_tr_e = traces.trace_quadrature(traces.TraceRequest(P_POINT, "tr", "e"))
+    oracle_tr_e = oracle.oracle_trace(P_POINT, "e", 256)
+    quad_phi_a = traces.trace_quadrature(traces.TraceRequest(P_POINT, "phitr", "a"))
+    oracle_phi_a = oracle.oracle_phitr(P_POINT, "a", 256)
     errs = {
         "quad_tr_e": abs(quad_tr_e - tr_e_exact),
         "oracle_tr_e": abs(oracle_tr_e - tr_e_exact),
@@ -211,16 +205,14 @@ def criterion_6(config: RunConfig) -> CriterionResult:
     for loop in (loops.loop_L1(), loops.loop_L2()):
         for kind in (FunctionalKind.CANONICAL_TRACE, FunctionalKind.PHI_TENSOR_TRACE):
             val = oracle.oracle_period(loop, kind, N=32)
-            quantum = traces.QUANTA[kind]
-            nearest = int(round((val / quantum).real))
-            residual = abs(val - nearest * quantum)
+            rep = traces.PeriodReport(val, kind, loop.name)
             oracle_entries[f"{loop.name}_{kind.value}"] = {
-                "nearest": nearest,
-                "residual": float(residual),
+                "nearest": rep.nearest_multiple,
+                "residual": float(rep.residual),
             }
             row = 0 if kind is FunctionalKind.CANONICAL_TRACE else 1
             col = 0 if loop.name == "L1" else 1
-            oracle_ok &= nearest == expected[row][col] and residual <= 1e-6
+            oracle_ok &= rep.nearest_multiple == expected[row][col] and rep.residual <= 1e-6
     seconds = time.perf_counter() - t0
     passed = (
         analytic["integer_matrix"] == expected
@@ -248,22 +240,15 @@ def criterion_7(config: RunConfig) -> CriterionResult:
     """Period quantization on 10 random loops in the z1 = z2 = 0 plane."""
     t0 = time.perf_counter()
     loop_set = loops.random_axis_loops(config.seed, 10)
-    tol = config.period_residual_tol
     worst_tr = worst_phi = 0.0
     for loop in loop_set:
         worst_tr = max(
-            worst_tr,
-            traces.loop_period(
-                loop, FunctionalKind.CANONICAL_TRACE, residual_target=tol
-            ).residual,
+            worst_tr, traces.loop_period(loop, FunctionalKind.CANONICAL_TRACE).residual
         )
         worst_phi = max(
-            worst_phi,
-            traces.loop_period(
-                loop, FunctionalKind.PHI_TENSOR_TRACE, residual_target=tol
-            ).residual,
+            worst_phi, traces.loop_period(loop, FunctionalKind.PHI_TENSOR_TRACE).residual
         )
-    passed = worst_tr <= tol and worst_phi <= tol
+    passed = worst_tr <= 1e-6 and worst_phi <= 1e-6
     return CriterionResult(
         7,
         "period quantization on random loops",
@@ -277,12 +262,13 @@ def criterion_7(config: RunConfig) -> CriterionResult:
     )
 
 
-def _random_words(rng: np.random.Generator, count: int, max_len: int = 6):
+def _random_words(rng: np.random.Generator, count: int):
+    """Products of 1 to 6 generators a, t, tau."""
     gens = (GEN_A, GEN_T, GEN_TAU)
     words = []
     for _ in range(count):
         g = GroupElement()
-        for i in rng.integers(0, 3, size=rng.integers(1, max_len + 1)):
+        for i in rng.integers(0, 3, size=rng.integers(1, 7)):
             g = mul(g, gens[i])
         words.append(g)
     return words

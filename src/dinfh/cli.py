@@ -254,11 +254,7 @@ def _cmd_period(args) -> int:
     kind = FunctionalKind.coerce(args.functional)
     if args.method == "oracle":
         value = oracle.oracle_period(loop, kind, N=args.N, steps=args.steps)
-        quantum = traces.QUANTA[kind]
-        nearest = int(round((value / quantum).real))
-        rep = traces.PeriodReport(
-            value, quantum, nearest, abs(value - nearest * quantum), loop.name, kind
-        )
+        rep = traces.PeriodReport(value, kind, loop.name)
     else:
         rep = traces.loop_period(loop, kind, steps=args.steps)
     payload = rep.to_json()

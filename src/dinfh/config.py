@@ -13,17 +13,10 @@ SCHEMA_VERSION = "1"
 
 @dataclass
 class RunConfig:
-    membership_tol: float = 1e-9
-    quad_target: float = 1e-10
-    period_residual_tol: float = 1e-6
-    default_N: int = 256
-    default_n_nodes: int = 256
-    seed: int = DEFAULT_SEED
+    """What a run may vary: only the seed.  The criteria's tolerances and
+    sizes are fixed where they are checked."""
 
-    def __post_init__(self):
-        for name in ("membership_tol", "quad_target", "period_residual_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+    seed: int = DEFAULT_SEED
 
 
 def thread_cap() -> int | None:

@@ -37,24 +37,24 @@ TABULATED_MIXED_PARTIAL_AT_P = 14872.0 / (45045.0 * math.sqrt(105.0)) - 7896.0 /
 )
 
 
-def _quad(z, functional, word, formula, n_nodes=256) -> complex:
+def _quad(z, functional, word, formula) -> complex:
     return traces.trace_quadrature(
-        traces.TraceRequest(z, functional, word, n_nodes), formula=formula
+        traces.TraceRequest(z, functional, word), formula=formula
     )
 
 
-def _fd_oracle_phitr(z, word: str, coord: int, N: int, step: float = 1e-5) -> float:
+def _fd_oracle_phitr(z, word: str, coord: int) -> float:
     def f(zi):
-        return oracle.oracle_phitr(zi, word, N)
+        return oracle.oracle_phitr(zi, word, 256)
 
-    return traces.central_difference(f, z, coord, step).real
+    return traces.central_difference(f, z, coord, traces.FD_STEP).real
 
 
-def _fd_tabulated_phitr(z, word: str, coord: int, step: float = 1e-5) -> float:
+def _fd_tabulated_phitr(z, word: str, coord: int) -> float:
     def f(zi):
         return _quad(zi, "phitr", word, "tabulated")
 
-    return traces.central_difference(f, z, coord, step).real
+    return traces.central_difference(f, z, coord, traces.FD_STEP).real
 
 
 def tau_trace_comparison() -> dict:
@@ -94,16 +94,17 @@ def phitr_identity_comparison() -> dict:
     }
 
 
-def mixed_partial_comparison(N: int = 256) -> dict:
-    """Item 2b: the two mixed partials of the twisted 1-form at p.
+def mixed_partial_comparison() -> dict:
+    """Item 2b: the two mixed partials of the twisted 1-form at p (oracle
+    at N = 256, central differences of step FD_STEP).
 
     Closedness demands d/dz1 of the e-coefficient equal d/dz0 of the
     a-coefficient; the oracle confirms they do.  The tabulated
     e-coefficient instead reproduces the (incorrect) first value only as
     a formula evaluation.
     """
-    d1 = _fd_oracle_phitr(P_POINT, "e", coord=1, N=N)
-    d2 = _fd_oracle_phitr(P_POINT, "a", coord=0, N=N)
+    d1 = _fd_oracle_phitr(P_POINT, "e", coord=1)
+    d2 = _fd_oracle_phitr(P_POINT, "a", coord=0)
     tab = _fd_tabulated_phitr(P_POINT, "e", coord=1)
     return {
         "z": list(map(float, P_POINT)),
@@ -157,7 +158,7 @@ def erratum_report(config: RunConfig | None = None, include_periods: bool = True
         "seed": config.seed,
         "tau_trace": tau_trace_comparison(),
         "phitr_identity": phitr_identity_comparison(),
-        "mixed_partials": mixed_partial_comparison(N=config.default_N),
+        "mixed_partials": mixed_partial_comparison(),
         "degenerate_weight": degenerate_weight_comparison(),
     }
     if include_periods:

@@ -12,6 +12,8 @@ reduces to the two hyperplanes z0 = z3 and z0 = -z3:
         (z0 - z3 = w winds once around 0, z0 + z3 = 3 is constant)
     L2: z(s) = ((3 + w)/2, 0, 0, (w - 3)/2)
         (z0 + z3 = w winds, z0 - z3 = 3 constant)
+
+Both are ``circle_loop`` circles of radius 1/2 moving z0 and z3 together.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 AXIS_INDEX = {"z0": 0, "z1": 1, "z2": 2, "z3": 3}
+
+# a random axis loop clears the singular hyperplanes by this share of its radius
+MIN_REL_MARGIN = 0.25
 
 
 @dataclass
@@ -64,45 +69,6 @@ class LoopPath:
         return np.fft.ifft(2j * np.pi * k[:, None] * np.fft.fft(pts, axis=0), axis=0)
 
 
-def loop_L1(steps: int = 512) -> LoopPath:
-    def fn(s):
-        w = np.exp(2j * np.pi * s)
-        z = np.zeros((len(s), 4), dtype=complex)
-        z[:, 0] = (3.0 + w) / 2.0
-        z[:, 3] = (3.0 - w) / 2.0
-        return z
-
-    def dfn(s):
-        dw = 1j * np.pi * np.exp(2j * np.pi * s)
-        dz = np.zeros((len(s), 4), dtype=complex)
-        dz[:, 0] = dw
-        dz[:, 3] = -dw
-        return dz
-
-    return LoopPath(fn, steps=steps, name="L1", dfn=dfn)
-
-
-def loop_L2(steps: int = 512) -> LoopPath:
-    def fn(s):
-        w = np.exp(2j * np.pi * s)
-        z = np.zeros((len(s), 4), dtype=complex)
-        z[:, 0] = (3.0 + w) / 2.0
-        z[:, 3] = (w - 3.0) / 2.0
-        return z
-
-    def dfn(s):
-        dw = 1j * np.pi * np.exp(2j * np.pi * s)
-        dz = np.zeros((len(s), 4), dtype=complex)
-        dz[:, 0] = dw
-        dz[:, 3] = dw
-        return dz
-
-    return LoopPath(fn, steps=steps, name="L2", dfn=dfn)
-
-
-NAMED_LOOPS = {"L1": loop_L1, "L2": loop_L2}
-
-
 def circle_loop(
     center: Sequence[complex],
     radius: float,
@@ -138,14 +104,25 @@ def circle_loop(
     return LoopPath(fn, steps=steps, name=name, dfn=dfn)
 
 
-def random_axis_loops(
-    seed: int, count: int, min_rel_margin: float = 0.25
-) -> List[LoopPath]:
+def loop_L1(steps: int = 512) -> LoopPath:
+    """z0 - z3 = w winds once around 0, z0 + z3 = 3 (module docstring)."""
+    return circle_loop([1.5, 0, 0, 1.5], 0.5, ["z0", "z3"], [1, -1], steps, "L1")
+
+
+def loop_L2(steps: int = 512) -> LoopPath:
+    """z0 + z3 = w winds once around 0, z0 - z3 = 3 (module docstring)."""
+    return circle_loop([1.5, 0, 0, -1.5], 0.5, ["z0", "z3"], [1, 1], steps, "L2")
+
+
+NAMED_LOOPS = {"L1": loop_L1, "L2": loop_L2}
+
+
+def random_axis_loops(seed: int, count: int) -> List[LoopPath]:
     """Seeded random circles in the z1 = z2 = 0 resolvent region.
 
     Each loop fixes one of z0/z3 and circles the other; candidates are
     rejected until the circle clears both singular hyperplanes z0 = +-z3
-    by ``min_rel_margin`` times the radius.
+    by MIN_REL_MARGIN times the radius.
     """
     rng = np.random.default_rng(seed)
     loops: List[LoopPath] = []
@@ -157,7 +134,7 @@ def random_axis_loops(
         # distance from the circle to the points where z0 = +-z3
         d1 = abs(abs(c0 - c3) - r)
         d2 = abs(abs(c0 + c3) - r)
-        if min(d1, d2) < min_rel_margin * r:
+        if min(d1, d2) < MIN_REL_MARGIN * r:
             continue
         center = [c0, 0j, 0j, c3]
         loops.append(

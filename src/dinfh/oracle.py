@@ -25,9 +25,11 @@ split is the fast path that serves the membership margins, sweeps and
 quadratures, and its exact circle means (``circle_means``, by the residue
 theorem) give the loop coefficients and the potential with no quadrature.
 
-The oracle traces and periods use only the group structure of the
-truncation, neither the DFT nor the 2x2 symbol, so they stay independent
-of the fast path.  The truncation is the left regular representation of
+The oracle trace and period values come from the group structure of the
+truncation alone, neither the DFT nor the 2x2 symbol, so they stay
+independent of the fast path; only the guard of ``oracle_period``, which
+rejects loops that come near the spectrum, reads the symbol margin
+(``margin_grid``).  The truncation is the left regular representation of
 the finite group D_N x Z_2 of order 4N: a, t and tau are involutions,
 u = a*t has order N, and the word permutations act freely and
 transitively on the 4N basis indices (index i is the element g_i with
@@ -92,6 +94,9 @@ _WEIGHTS = {
     FunctionalKind.CANONICAL_TRACE: (0.25, 0.25, 0.25, 0.25),
     FunctionalKind.PHI_TENSOR_TRACE: (0.0, 0.0, -0.5, -0.5),
 }
+
+# points per batch of margin_grid (bounds its (points, N) temporaries)
+MARGIN_CHUNK = 512
 
 # LAPACK's complex tridiagonal solve (LU with partial pivoting)
 _GTSV = scipy.linalg.get_lapack_funcs("gtsv", dtype=complex)
@@ -373,12 +378,13 @@ def _block_sigma_min(d, w, wbar, hermitian: bool) -> np.ndarray:
     return np.divide(det, smax, out=np.zeros_like(det), where=smax > 0)
 
 
-def margin_grid(points: np.ndarray, N: int, chunk: int = 512) -> np.ndarray:
+def margin_grid(points: np.ndarray, N: int) -> np.ndarray:
     """Batched truncation margins for an (n, 4) array of pencil points.
 
     The truncation's singular values are those of the 2N parity blocks;
     real inputs give Hermitian blocks (eigenvalues z0 +- z3 +- |w|),
-    complex inputs use the 2x2 closed form |det| / sigma_max.
+    complex inputs use the 2x2 closed form |det| / sigma_max.  Points go
+    through in batches of MARGIN_CHUNK.
     """
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 2 or pts.shape[1] != 4:
@@ -386,10 +392,11 @@ def margin_grid(points: np.ndarray, N: int, chunk: int = 512) -> np.ndarray:
     hermitian = np.all(pts.imag == 0.0)
     th = fft_angles(N)
     out = np.empty(len(pts))
-    for lo in range(0, len(pts), chunk):
-        dp, dm, w, wbar = parity_blocks(pts[lo : lo + chunk], th)
+    for lo in range(0, len(pts), MARGIN_CHUNK):
+        hi = lo + MARGIN_CHUNK
+        dp, dm, w, wbar = parity_blocks(pts[lo:hi], th)
         sv = [_block_sigma_min(d, w, wbar, hermitian).min(axis=1) for d in (dp, dm)]
-        out[lo : lo + chunk] = np.minimum(*sv)
+        out[lo:hi] = np.minimum(*sv)
     return out
 
 
@@ -458,6 +465,12 @@ def oracle_phitr(z, word: str, N: int) -> complex:
     return oracle_functional(z, word, FunctionalKind.PHI_TENSOR_TRACE, N)
 
 
+# both period routes: two step grids must agree to PERIOD_TARGET before
+# MAX_STEPS steps
+PERIOD_TARGET = 1e-6
+MAX_STEPS = 2**13
+
+
 def richardson(coarse: complex, fine: complex) -> complex:
     """One trapezoid-refinement step: fine + (fine - coarse)/3."""
     return fine + (fine - coarse) / 3.0
@@ -503,17 +516,17 @@ def oracle_period(
     functional,
     N: int = 32,
     steps: int | None = None,
-    residual_target: float = 1e-6,
-    max_steps: int = 2**13,
 ) -> complex:
     """Loop period from the finite truncation.
 
     One path for both functionals: the trapezoid integral of the oracle
     1-form along the loop, with step doubling through ``refine`` until two
-    grids agree to ``residual_target``, then one Richardson step.  The
-    pencil is linear in z, P(z) = sum_w z_w W_w, so on a tangent dz the
-    1-form is the functional on P^-1 P(dz), which ``_klein_form`` takes
-    from one tridiagonal solve per Klein block.  A phase unwrap of
+    grids agree to PERIOD_TARGET (NonConvergent past MAX_STEPS), then one
+    Richardson step.  The pencil is linear in z, P(z) = sum_w z_w W_w, so
+    on a tangent dz the 1-form is the functional on P^-1 P(dz), which
+    ``_klein_form`` takes from one tridiagonal solve per Klein block.
+    The samples are guarded by the symbol margin (``margin_grid``).
+    A phase unwrap of
     det P would need no comparison but aliases: the phase turns 64 times
     around L1 at N = 32, so coarse samples can pass the unwrap check with
     a wrong integer.
@@ -529,4 +542,4 @@ def oracle_period(
         return complex(_klein_form(Z, loop.derivatives(nsteps), N, kind).mean())
 
     what = f"oracle period on {loop.name}"
-    return richardson(*refine(value_at, n, residual_target, max_steps, what))
+    return richardson(*refine(value_at, n, PERIOD_TARGET, MAX_STEPS, what))

@@ -67,6 +67,8 @@ from .group import GEN_A, GEN_T, GEN_TAU, IDENTITY, GroupElement, mul
 from .spectrum import membership_grid
 
 MAX_LEVEL = 6
+# sorted eigenvalues this close to a cluster's first one share its CSV row
+CLUSTER_TOL = 1e-9
 
 _IDENT_PERM = (0, 1, 2, 3)
 
@@ -376,16 +378,14 @@ def coverage_gap(z1: float, z2: float, z3: float, n: int) -> float:
     return float(dist.max())
 
 
-def eigenvalue_csv_lines(
-    z1: float, z2: float, z3: float, n: int, cluster_tol: float = 1e-9
-) -> Iterable[str]:
+def eigenvalue_csv_lines(z1: float, z2: float, z3: float, n: int) -> Iterable[str]:
     """CSV rows ``level,z1,z2,z3,lambda,multiplicity_hint``."""
     eigs = pencil_level_eigs(z1, z2, z3, n)
     yield "level,z1,z2,z3,lambda,multiplicity_hint"
     i = 0
     while i < len(eigs):
         j = i
-        while j + 1 < len(eigs) and eigs[j + 1] - eigs[i] <= cluster_tol:
+        while j + 1 < len(eigs) and eigs[j + 1] - eigs[i] <= CLUSTER_TOL:
             j += 1
         yield f"{n},{z1!r},{z2!r},{z3!r},{float(eigs[i])!r},{j - i + 1}"
         i = j + 1

@@ -36,7 +36,7 @@ trace) and pi*i (twisted functional).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Sequence
 
@@ -46,22 +46,23 @@ from . import oracle
 from .errors import LoopHitsSpectrum, NotDegenerate, OnSpectrum
 from .group import FunctionalKind
 from .loops import LoopPath
-from .oracle import WORDS, fft_angles, refine, richardson, symbol_integrand
+from .oracle import MAX_STEPS, PERIOD_TARGET, WORDS, fft_angles, refine, richardson
+from .oracle import symbol_integrand
 from .spectrum import PencilPoint, as_point, membership_grid, pencil_scale
 
 SINGULAR_TOL = 1e-12
 NEAR_DEGENERATE_TOL = 1e-9
+# quadrature: two node grids must agree to QUAD_TARGET before MAX_NODES nodes
+QUAD_TARGET = 1e-10
 MAX_NODES = 2**14
+# central-difference step of the potential gradient and the erratum's
+# mixed partials
+FD_STEP = 1e-5
 
 QUANTA = {
     FunctionalKind.CANONICAL_TRACE: 0.5j * math.pi,
     FunctionalKind.PHI_TENSOR_TRACE: 1j * math.pi,
 }
-
-# provenance of the tabulated twisted-functional integrands: only the e and
-# a entries have closed forms in the table; t and tau are defined by the
-# oracle symbol
-PHITR_TABULATED_WORDS = ("e", "a")
 
 
 @dataclass(frozen=True)
@@ -193,41 +194,30 @@ def _mean_integrand(req: TraceRequest, n: int, formula: str) -> complex:
     return complex(np.mean(vals))
 
 
-def trace_quadrature(
-    req: TraceRequest,
-    formula: str = "symbol",
-    target: float = 1e-10,
-    max_nodes: int = MAX_NODES,
-) -> complex:
+def trace_quadrature(req: TraceRequest, formula: str = "symbol") -> complex:
     """(1/2pi) int integrand dtheta by the uniform-node (trapezoid) rule.
 
-    Nodes are doubled until two consecutive grids agree to ``target``;
+    Nodes are doubled until two consecutive grids agree to QUAD_TARGET;
     NonConvergent is raised if they still differ by more once the grid
-    reaches ``max_nodes``.
+    reaches MAX_NODES.
     """
     return refine(
         lambda n: _mean_integrand(req, n, formula),
         req.n_nodes,
-        target,
-        max_nodes,
+        QUAD_TARGET,
+        MAX_NODES,
         "quadrature",
     )[1]
 
 
 def trace_coefficients(
-    z,
-    functional,
-    n_nodes: int = 256,
-    formula: str = "symbol",
-    target: float = 1e-10,
+    z, functional, n_nodes: int = 256, formula: str = "symbol"
 ) -> np.ndarray:
     """The four 1-form coefficients (words e, a, t, tau) at one point."""
     z = as_point(z)
     return np.array(
         [
-            trace_quadrature(
-                TraceRequest(z, functional, w, n_nodes), formula=formula, target=target
-            )
+            trace_quadrature(TraceRequest(z, functional, w, n_nodes), formula=formula)
             for w in WORDS
         ]
     )
@@ -264,17 +254,18 @@ def central_difference(f, z, i: int, step: float):
     return (f(zp) - f(zm)) / (2 * step)
 
 
-def potential_gradient(z, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of the potential in the four real
-    coordinate directions (holomorphy recovers the complex derivative)."""
+def potential_gradient(z) -> np.ndarray:
+    """Central-difference gradient (step FD_STEP) of the potential in the
+    four real coordinate directions (holomorphy recovers the complex
+    derivative)."""
     z = as_point(z).as_array()
-    return np.array([central_difference(potential_tr, z, i, step) for i in range(4)])
+    return np.array([central_difference(potential_tr, z, i, FD_STEP) for i in range(4)])
 
 
 def closedness_residual(
     z,
     functional,
-    step: float = 1e-5,
+    step: float = FD_STEP,
     n_nodes: int = 256,
     formula: str = "symbol",
 ) -> np.ndarray:
@@ -299,12 +290,20 @@ def closedness_residual(
 
 @dataclass
 class PeriodReport:
+    """A loop period, its nearest multiple of the lattice unit QUANTA[kind]
+    and its distance to that multiple; both period routes report this way."""
+
     value: complex
-    quantum: complex
-    nearest_multiple: int
-    residual: float
-    loop_name: str = "loop"
-    functional: FunctionalKind = FunctionalKind.CANONICAL_TRACE
+    functional: FunctionalKind
+    loop_name: str
+    quantum: complex = field(init=False)
+    nearest_multiple: int = field(init=False)
+    residual: float = field(init=False)
+
+    def __post_init__(self):
+        self.quantum = QUANTA[self.functional]
+        self.nearest_multiple = int(round((self.value / self.quantum).real))
+        self.residual = abs(self.value - self.nearest_multiple * self.quantum)
 
     def to_json(self) -> dict:
         return {
@@ -356,13 +355,12 @@ def loop_period(
     loop: LoopPath,
     functional,
     steps: int | None = None,
-    residual_target: float = 1e-6,
-    max_steps: int = 2**13,
 ) -> PeriodReport:
     """Contour integral of the coefficient 1-form around a closed loop.
 
     Trapezoid in the loop parameter with one Richardson refinement; steps
-    double until two grids agree to ``residual_target``.  The coefficients
+    double until two grids agree to PERIOD_TARGET (NonConvergent past
+    MAX_STEPS).  The coefficients
     at the samples are the exact ``loop_coefficients``.  The expected
     period lattice unit (pi*i/2 or pi*i) and the residual against its
     nearest integer multiple are reported.
@@ -379,12 +377,9 @@ def loop_period(
         return complex((coeffs * dz).sum(axis=1).mean())
 
     value = richardson(
-        *refine(value_at, n, residual_target, max_steps, f"period on {loop.name}")
+        *refine(value_at, n, PERIOD_TARGET, MAX_STEPS, f"period on {loop.name}")
     )
-    quantum = QUANTA[kind]
-    nearest = int(round((value / quantum).real))
-    residual = abs(value - nearest * quantum)
-    return PeriodReport(value, quantum, nearest, residual, loop.name, kind)
+    return PeriodReport(value, kind, loop.name)
 
 
 def _integer_rank(rows: List[List[int]]) -> int:

@@ -6,12 +6,25 @@ CLI ``verify`` subcommand).  Criteria are computed once per session; each
 test asserts one criterion and prints its pass/fail line.
 """
 
+import dataclasses
+
 import pytest
 
 from dinfh import selfsim
 from dinfh.acceptance import CRITERIA, criterion_8, run_all
 from dinfh.config import RunConfig
 from dinfh.group import GroupElement
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["membership_tol", "quad_target", "period_residual_tol", "default_N", "default_n_nodes"],
+)
+def test_run_config_carries_only_the_seed(name):
+    # the criteria's tolerances and sizes are fixed, not configurable
+    assert [f.name for f in dataclasses.fields(RunConfig)] == ["seed"]
+    with pytest.raises(TypeError):
+        RunConfig(**{name: 1.0})
 
 
 @pytest.fixture(scope="module")

@@ -672,16 +672,17 @@ class TestOraclePeriods:
         with pytest.raises(LoopHitsSpectrum):
             oracle_period(bad, "tr", N=8, steps=64)
 
-    def test_twisted_nonconvergent_at_step_cap(self):
+    def test_twisted_nonconvergent_at_step_cap(self, monkeypatch):
         # off the spectrum at z0 = 0 by 0.01: 16 -> 32 steps change the
         # period by ~20, so a 32-step cap must raise, not return
+        monkeypatch.setattr(oracle, "MAX_STEPS", 32)
         near = loops.circle_loop([1.0, 0, 0, 0], 0.99, ["z0"], steps=8, name="near")
         with pytest.raises(NonConvergent, match="oracle period on near .* at 32$"):
-            oracle_period(near, "phitr", N=8, max_steps=32)
+            oracle_period(near, "phitr", N=8)
         # the canonical trace compares grids too, instead of returning the
         # first grid it can unwrap
         with pytest.raises(NonConvergent, match="oracle period on near .* at 32$"):
-            oracle_period(near, "tr", N=8, max_steps=32)
+            oracle_period(near, "tr", N=8)
 
     def test_twisted_loop_through_spectrum_rejected(self):
         bad = loops.circle_loop([1.0, 0, 0, 1.5], 0.5, ["z0"], name="bad")

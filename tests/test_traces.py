@@ -14,6 +14,7 @@ from dinfh.group import FunctionalKind
 from dinfh.spectrum import as_point, membership_grid
 from dinfh.traces import (
     QUANTA,
+    PeriodReport,
     TraceRequest,
     class_independence,
     closedness_residual,
@@ -178,13 +179,15 @@ class TestQuadrature:
         with pytest.raises(NonConvergent):
             trace_quadrature(TraceRequest((z0, 1.0, 1.0, 0.0), "tr", "e", 16))
 
-    def test_nonconvergent_above_target_at_max_nodes(self):
+    def test_nonconvergent_above_target_at_max_nodes(self, monkeypatch):
         # nearest root x = 1 + 1.5e-4: 1024 -> 2048 nodes change the value by
         # 1.0e-9, above the 1e-10 target, so a 2048-node cap must not return
         z = (math.sqrt(4.0 + 6e-4), 1.0, 1.0, 0.0)
         req = TraceRequest(z, "tr", "e", 16)
-        with pytest.raises(NonConvergent):
-            trace_quadrature(req, max_nodes=2048)
+        with monkeypatch.context() as m:
+            m.setattr(traces, "MAX_NODES", 2048)
+            with pytest.raises(NonConvergent):
+                trace_quadrature(req)
         exact = z[0] / math.sqrt((z[0] ** 2 - 2.0) ** 2 - 4.0)
         assert trace_quadrature(req) == pytest.approx(exact, abs=1e-10)
 
@@ -257,18 +260,20 @@ class TestPotential:
     def test_theta_independent_logs(self):
         assert potential_tr(Q) == pytest.approx(0.5 * math.log(3.0), abs=1e-12)
 
-    def test_gradient_matches_coefficients_at_p(self):
-        grad = potential_gradient(P, step=1e-5)
+    def test_gradient_matches_coefficients_at_p(self, monkeypatch):
+        monkeypatch.setattr(traces, "FD_STEP", 1e-5)
+        grad = potential_gradient(P)
         coeff = trace_coefficients(P, FunctionalKind.CANONICAL_TRACE)
         assert np.abs(grad - coeff).max() <= 1e-8
 
-    def test_gradient_with_negative_symbols(self):
+    def test_gradient_with_negative_symbols(self, monkeypatch):
         # G^- < 0 on part of the circle: exercises the log branch
+        monkeypatch.setattr(traces, "FD_STEP", 1e-5)
         z = (0.2, 1.5, 0.7, 0.1)
         from dinfh.spectrum import membership
 
         assert not membership(z).in_spectrum
-        grad = potential_gradient(z, step=1e-5)
+        grad = potential_gradient(z)
         coeff = trace_coefficients(z, FunctionalKind.CANONICAL_TRACE)
         assert np.abs(grad - coeff).max() <= 1e-6
 
@@ -340,16 +345,48 @@ class TestPeriods:
         with pytest.raises(LoopHitsSpectrum):
             loop_period(bad, "tr", steps=64)
 
-    def test_nonconvergent_at_step_cap(self):
+    def test_nonconvergent_at_step_cap(self, monkeypatch):
         # off the spectrum at z0 = 0 by 0.01: 16 -> 32 steps change the
         # period by ~20, so a 32-step cap must raise, not return
+        monkeypatch.setattr(traces, "MAX_STEPS", 32)
         near = loops.circle_loop([1.0, 0, 0, 0], 0.99, ["z0"], steps=8, name="near")
         with pytest.raises(NonConvergent, match="period on near .* at 32$"):
-            loop_period(near, "tr", max_steps=32)
+            loop_period(near, "tr")
 
     def test_quanta(self):
         assert QUANTA[FunctionalKind.CANONICAL_TRACE] == 0.5j * math.pi
         assert QUANTA[FunctionalKind.PHI_TENSOR_TRACE] == 1j * math.pi
+
+    @pytest.mark.parametrize(
+        "kind, multiple",
+        [(FunctionalKind.CANONICAL_TRACE, -3), (FunctionalKind.PHI_TENSOR_TRACE, 2)],
+    )
+    def test_report_quantizes_a_value(self, kind, multiple):
+        value = multiple * QUANTA[kind] + 2e-7 - 1e-7j
+        rep = PeriodReport(value, kind, "given")
+        assert rep.quantum == QUANTA[kind]
+        assert rep.nearest_multiple == multiple
+        assert rep.residual == pytest.approx(math.hypot(2e-7, 1e-7), rel=1e-6)
+        assert rep.to_json()["loop"] == "given"
+
+
+class TestReferenceLoops:
+    """L1 and L2 are the closed forms of the loops module docstring."""
+
+    @pytest.mark.parametrize("steps", [8, 16, 512, 1024, 4096])
+    @pytest.mark.parametrize("name, sign", [("L1", -1), ("L2", 1)])
+    def test_samples_and_derivatives_are_the_closed_forms(self, name, sign, steps):
+        loop = loops.NAMED_LOOPS[name](steps)
+        assert loop.name == name and loop.steps == steps
+        w = np.exp(2j * np.pi * np.arange(steps + 1) / steps)
+        z = np.zeros((steps + 1, 4), dtype=complex)
+        z[:, 0] = (3.0 + w) / 2.0
+        z[:, 3] = (3.0 - w) / 2.0 if sign < 0 else (w - 3.0) / 2.0
+        np.testing.assert_array_equal(loop.samples(), z)
+        dz = np.zeros((steps, 4), dtype=complex)
+        dz[:, 0] = 1j * np.pi * w[:-1]
+        dz[:, 3] = sign * dz[:, 0]
+        np.testing.assert_array_equal(loop.derivatives(), dz)
 
 
 class TestIndependence:
