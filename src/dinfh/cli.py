@@ -79,8 +79,18 @@ def _parse_loop(text: str, steps: int | None):
             raise argparse.ArgumentTypeError(
                 f"loop must be one of {sorted(loops.NAMED_LOOPS)} or inline JSON"
             ) from exc
+        if not isinstance(desc, dict):
+            raise argparse.ArgumentTypeError("an inline loop must be a JSON object")
         if desc.get("kind", "circle") != "circle":
             raise argparse.ArgumentTypeError("inline loops must have kind 'circle'")
+        missing = [key for key in ("center", "radius", "coords") if key not in desc]
+        if missing:
+            raise argparse.ArgumentTypeError(f"inline loop lacks {', '.join(missing)}")
+        unknown = [c for c in desc["coords"] if isinstance(c, str) and c not in loops.AXIS_INDEX]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown loop coordinates {unknown}; use {sorted(loops.AXIS_INDEX)}"
+            )
         center = [complex(re, im) for re, im in desc["center"]]
         loop = loops.circle_loop(
             center,

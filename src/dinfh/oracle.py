@@ -422,14 +422,20 @@ def _klein_form(Z, dZ, N: int, kind: FunctionalKind) -> np.ndarray:
     is not regular: for odd N, K has trace 1 and (0, 0) entry 0.)  Vertex
     0 heads the path, and X_{s,r} e_0 = (dz0 + s dz3 + r dz2) e_0 + r dz1 e_1.
 
-    Each block takes one LAPACK gtsv, which also returns U's diagonal;
-    SingularTruncation is raised for an exactly zero pivot (info > 0) or
-    one below LU_PIVOT_TOL.  As in dense getrf, partial pivoting keeps
-    |L| <= 1, so a pivot u_kk leaves the first k columns of the
-    row-permuted block within |u_kk| |L e_k| <= sqrt(2) |u_kk| of rank
-    k - 1: the block's smallest singular value is below sqrt(2) |u_kk|.
-    All four blocks are solved for both functionals, as phi~ needs all of
-    P invertible.
+    All 4n blocks go through one LAPACK gtsv, laid end to end as one
+    tridiagonal system of size 4nN whose bands are exactly 0 between
+    consecutive blocks.  At a zero subdiagonal entry gtsv eliminates
+    nothing and interchanges no rows, and every back-substitution term
+    that reaches across it is multiplied by that exact 0, so each block
+    gets the arithmetic of its own solve.  gtsv also returns U's
+    diagonal, each block's pivots in turn; SingularTruncation is raised
+    for an exactly zero pivot (info > 0: gtsv stops there and leaves the
+    later blocks unsolved) or one below LU_PIVOT_TOL.  As in dense getrf,
+    partial pivoting keeps |L| <= 1, so a pivot u_kk leaves the first k
+    columns of the row-permuted block within |u_kk| |L e_k| <= sqrt(2)
+    |u_kk| of rank k - 1: the block's smallest singular value is below
+    sqrt(2) |u_kk|, as for a block solved alone.  All four blocks are
+    solved for both functionals, as phi~ needs all of P invertible.
     """
     off, diag = jacobi_blocks(Z, N)
     dZ = np.asarray(dZ, dtype=complex).reshape(-1, 4)
@@ -437,12 +443,21 @@ def _klein_form(Z, dZ, N: int, kind: FunctionalKind) -> np.ndarray:
     rhs = np.zeros(diag.shape, dtype=complex)
     rhs[..., 0] = dZ[:, 0, None] + s * dZ[:, 3, None] + r * dZ[:, 2, None]
     rhs[..., 1] = r * dZ[:, 1, None]
-    y = np.empty(diag.shape[:-1], dtype=complex)
-    for k in np.ndindex(y.shape):
-        _, pivots, _, x, info = _GTSV(off[k], diag[k], off[k], rhs[k])
-        if info > 0 or np.abs(pivots).min() < LU_PIVOT_TOL:
-            raise SingularTruncation(f"pencil truncation at N={N} is numerically singular")
-        y[k] = x[0]
+    # each block's N - 1 off-diagonals, then the exact 0 that couples it to
+    # the next; gtsv overwrites both bands, so they are two arrays
+    band = np.zeros(diag.shape, dtype=complex)
+    band[..., :-1] = off
+    del off
+    lower = band.reshape(-1)[:-1]
+    upper = lower.copy()
+    _, pivots, _, x, info = _GTSV(
+        lower, diag.reshape(-1), upper, rhs.reshape(-1),
+        overwrite_dl=True, overwrite_d=True, overwrite_du=True, overwrite_b=True,
+    )
+    if info > 0 or np.abs(pivots).min() < LU_PIVOT_TOL:
+        raise SingularTruncation(f"pencil truncation at N={N} is numerically singular")
+    # on a strided y numpy's matmul takes another path, with other roundoff
+    y = np.ascontiguousarray(x.reshape(diag.shape)[..., 0])
     return y @ np.array(_WEIGHTS[kind])
 
 
@@ -524,7 +539,8 @@ def oracle_period(
     grids agree to PERIOD_TARGET (NonConvergent past MAX_STEPS), then one
     Richardson step.  The pencil is linear in z, P(z) = sum_w z_w W_w, so
     on a tangent dz the 1-form is the functional on P^-1 P(dz), which
-    ``_klein_form`` takes from one tridiagonal solve per Klein block.
+    ``_klein_form`` takes from one stacked tridiagonal solve of every Klein
+    block of a grid's samples.
     The samples are guarded by the symbol margin (``margin_grid``).
     A phase unwrap of
     det P would need no comparison but aliases: the phase turns 64 times

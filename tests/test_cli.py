@@ -286,6 +286,28 @@ class TestUsageErrors:
         assert err == f"dinfh: error: {message}\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "desc, message",
+        [
+            ('{"radius": 1}', "inline loop lacks center, coords"),
+            (
+                '{"center": [[1, 0], [0, 0], [0, 0], [0, 0]], "radius": 0.5, "coords": ["z9"]}',
+                "unknown loop coordinates ['z9']; use ['z0', 'z1', 'z2', 'z3']",
+            ),
+            ("[1]", "an inline loop must be a JSON object"),
+        ],
+        ids=["missing-keys", "unknown-axis", "not-an-object"],
+    )
+    def test_malformed_inline_loop_exits_1(self, desc, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dinfh.cli", "period", "--loop", desc],
+            env={**os.environ, "PYTHONPATH": str(Path(dinfh.__file__).resolve().parents[1])},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"dinfh: error: {message}\n"
+
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 

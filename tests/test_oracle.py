@@ -16,6 +16,7 @@ from dinfh.errors import (
 from dinfh.group import FunctionalKind
 from dinfh.oracle import (
     KLEIN_BLOCKS,
+    LU_PIVOT_TOL,
     MAX_DENSE_N,
     WORDS,
     circle_means,
@@ -39,6 +40,8 @@ from dinfh.oracle import (
 )
 
 P = (1.0, 8.0, 4.0, 2.0)
+
+GTSV = scipy.linalg.get_lapack_funcs("gtsv", dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +239,23 @@ def random_offspectrum_points(rng, count, require_margin=0.05):
         if margin_grid(z[None, :], 64)[0] > require_margin:
             pts.append(z)
     return pts
+
+
+def reference_klein_form(Z, dZ, N, kind):
+    """_klein_form's per-block loop: one gtsv per Klein block and point."""
+    off, diag = jacobi_blocks(Z, N)
+    dZ = np.asarray(dZ, dtype=complex).reshape(-1, 4)
+    s, r = np.array(KLEIN_BLOCKS, dtype=float).T
+    rhs = np.zeros(diag.shape, dtype=complex)
+    rhs[..., 0] = dZ[:, 0, None] + s * dZ[:, 3, None] + r * dZ[:, 2, None]
+    rhs[..., 1] = r * dZ[:, 1, None]
+    y = np.empty(diag.shape[:-1], dtype=complex)
+    for k in np.ndindex(y.shape):
+        _, pivots, _, x, info = GTSV(off[k], diag[k], off[k], rhs[k])
+        if info > 0 or np.abs(pivots).min() < LU_PIVOT_TOL:
+            raise SingularTruncation(f"pencil truncation at N={N} is numerically singular")
+        y[k] = x[0]
+    return y @ np.array(oracle._WEIGHTS[kind])
 
 
 class TestPencilMatrix:
@@ -518,6 +538,73 @@ class TestKleinSplit:
             pencil.lu(1, 0)
 
 
+# points whose Klein blocks interchange rows in gtsv (|d_k| < |dl_k|)
+PIVOTING_POINT = (0.1 + 0.05j, 1.0 + 0.2j, 0.8 - 0.1j, 0.05j)
+
+
+def kernel_points(rng, count):
+    """Seeded complex points and tangents; every other point has small z0
+    and z3, the diagonals of its blocks, so most of those interchange rows."""
+    Z = rng.uniform(-2, 2, (count, 4)) + 1j * rng.uniform(-1, 1, (count, 4))
+    Z[1::2, [0, 3]] *= 0.05
+    dZ = rng.normal(size=(count, 4)) + 1j * rng.normal(size=(count, 4))
+    return Z, dZ
+
+
+def block_pivots(z, N):
+    """(info, smallest |pivot|, interchanged rows) of each Klein block of z,
+    one gtsv per block."""
+    off, diag = jacobi_blocks(z, N)
+    out = []
+    for k in range(4):
+        du2, pivots, _, _, info = GTSV(off[0, k], diag[0, k], off[0, k], np.ones(N, complex))
+        # rows K < N - 1 that were not interchanged leave du2[K] = 0
+        out.append((int(info), float(np.abs(pivots).min()), bool(np.any(du2[:-1] != 0))))
+    return out
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("count", [1, 7, 512])
+    @pytest.mark.parametrize("N", [2, 3, 5, 16, 33, 256])
+    def test_bit_identical_to_the_per_block_loop(self, rng, N, count):
+        Z, dZ = kernel_points(rng, count)
+        Z[count // 2] = PIVOTING_POINT
+        for kind in FunctionalKind:
+            got = oracle._klein_form(Z, dZ, N, kind)
+            ref = reference_klein_form(Z, dZ, N, kind)
+            assert got.shape == ref.shape == (count,)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("N", [3, 5, 16, 33])
+    def test_pivoting_point_interchanges_rows(self, N):
+        # the bit-identity test covers row interchanges only if this holds
+        assert all(swapped for _, _, swapped in block_pivots(PIVOTING_POINT, N))
+
+    @pytest.mark.parametrize(
+        "z1, exact",
+        # z0 + z3 = -(z1 + z2) makes P_{+,+} singular on the constant vector,
+        # and only that block, as z2 != 0 and z0 - z3 = 3; 1 - 1e-14 moves
+        # its last pivot off 0 to about N * 1e-14, as in
+        # test_small_pivot_raises_on_both_routes
+        [(1.0, True), (1.0 - 1e-14, False)],
+        ids=["zero-pivot", "small-pivot"],
+    )
+    @pytest.mark.parametrize("N", [2, 8])
+    def test_one_singular_block_mid_batch_raises(self, rng, N, z1, exact):
+        bad = (0.75, z1, 0.5, -2.25)
+        pivots = block_pivots(bad, N)
+        assert [p < LU_PIVOT_TOL for _, p, _ in pivots] == [True, False, False, False]
+        info, pivot, _ = pivots[0]
+        assert (info > 0, pivot == 0.0) == (exact, exact)
+        Z, dZ = kernel_points(rng, 7)
+        Z[3] = bad
+        for kind in FunctionalKind:
+            with pytest.raises(SingularTruncation):
+                reference_klein_form(Z, dZ, N, kind)
+            with pytest.raises(SingularTruncation):
+                oracle._klein_form(Z, dZ, N, kind)
+
+
 def path_generators(N):
     """The generator joining positions i and i + 1 of the path, and the one
     fixing each fixed position: J: m -> -m, K: m -> 1 - m (mod N)."""
@@ -705,21 +792,27 @@ class TestOraclePeriods:
         [loops.loop_L1(), loops.LoopPath(loops.loop_L1().fn)],
         ids=["analytic", "spectral"],
     )
-    def test_four_tridiagonal_solves_per_sample_per_grid(self, monkeypatch, loop):
-        # 128 and 256 steps: one gtsv per Klein block and sample, on the
-        # N - 1 off-diagonals, the N diagonal entries and one N-vector
-        shapes = []
+    def test_one_tridiagonal_solve_per_grid(self, monkeypatch, loop):
+        # 128 and 256 steps: one gtsv per grid, on all 4 S Klein blocks of
+        # its S samples end to end, solved in place
+        calls = []
         gtsv = oracle._GTSV
 
         def counted(*arrays, **kw):
-            shapes.append(tuple(a.shape for a in arrays))
+            calls.append((tuple(a.shape for a in arrays), kw))
             return gtsv(*arrays, **kw)
 
         monkeypatch.setattr(oracle, "_GTSV", counted)
+        N = 16
         for functional in ("phitr", "tr"):
-            shapes.clear()
-            oracle_period(loop, functional, N=16, steps=128)
-            assert shapes == [((15,), (16,), (15,), (16,))] * 4 * (128 + 256)
+            calls.clear()
+            oracle_period(loop, functional, N=N, steps=128)
+            assert len(calls) == 2
+            for S, (shapes, kw) in zip((128, 256), calls):
+                size = 4 * S * N
+                assert shapes == ((size - 1,), (size,), (size - 1,), (size,))
+                flags = ("overwrite_dl", "overwrite_d", "overwrite_du", "overwrite_b")
+                assert all(kw.get(flag) for flag in flags)
 
 
 # grid angles and off-grid angles
