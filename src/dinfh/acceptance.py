@@ -202,16 +202,14 @@ def criterion_6(config: RunConfig) -> CriterionResult:
     analytic = traces.class_independence([loops.loop_L1(), loops.loop_L2()])
     oracle_entries = {}
     oracle_ok = True
-    for loop in (loops.loop_L1(), loops.loop_L2()):
-        for kind in (FunctionalKind.CANONICAL_TRACE, FunctionalKind.PHI_TENSOR_TRACE):
-            val = oracle.oracle_period(loop, kind, N=32)
+    for col, loop in enumerate((loops.loop_L1(), loops.loop_L2())):
+        # rows of the period matrix: Tr, phi~ (FunctionalKind order)
+        for row, (kind, val) in enumerate(oracle.oracle_period(loop, N=32).items()):
             rep = traces.PeriodReport(val, kind, loop.name)
             oracle_entries[f"{loop.name}_{kind.value}"] = {
                 "nearest": rep.nearest_multiple,
                 "residual": float(rep.residual),
             }
-            row = 0 if kind is FunctionalKind.CANONICAL_TRACE else 1
-            col = 0 if loop.name == "L1" else 1
             oracle_ok &= rep.nearest_multiple == expected[row][col] and rep.residual <= 1e-6
     seconds = time.perf_counter() - t0
     passed = (
@@ -242,12 +240,9 @@ def criterion_7(config: RunConfig) -> CriterionResult:
     loop_set = loops.random_axis_loops(config.seed, 10)
     worst_tr = worst_phi = 0.0
     for loop in loop_set:
-        worst_tr = max(
-            worst_tr, traces.loop_period(loop, FunctionalKind.CANONICAL_TRACE).residual
-        )
-        worst_phi = max(
-            worst_phi, traces.loop_period(loop, FunctionalKind.PHI_TENSOR_TRACE).residual
-        )
+        reps = traces.loop_period(loop)
+        worst_tr = max(worst_tr, reps[FunctionalKind.CANONICAL_TRACE].residual)
+        worst_phi = max(worst_phi, reps[FunctionalKind.PHI_TENSOR_TRACE].residual)
     passed = worst_tr <= 1e-6 and worst_phi <= 1e-6
     return CriterionResult(
         7,

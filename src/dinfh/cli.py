@@ -69,6 +69,11 @@ def _emit(artifact, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _numbers(value) -> bool:
+    """True for a JSON list of numbers."""
+    return isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)
+
+
 def _parse_loop(text: str, steps: int | None):
     if text in loops.NAMED_LOOPS:
         loop = loops.NAMED_LOOPS[text]()
@@ -86,17 +91,28 @@ def _parse_loop(text: str, steps: int | None):
         missing = [key for key in ("center", "radius", "coords") if key not in desc]
         if missing:
             raise argparse.ArgumentTypeError(f"inline loop lacks {', '.join(missing)}")
-        unknown = [c for c in desc["coords"] if isinstance(c, str) and c not in loops.AXIS_INDEX]
+        center, coords, signs = desc["center"], desc["coords"], desc.get("signs")
+        if not (isinstance(center, list) and all(_numbers(p) and len(p) == 2 for p in center)):
+            raise argparse.ArgumentTypeError(
+                "inline loop center must be a list of [re, im] pairs"
+            )
+        if not isinstance(coords, list):
+            raise argparse.ArgumentTypeError("inline loop coords must be a list")
+        if not (signs is None or _numbers(signs)):
+            raise argparse.ArgumentTypeError("inline loop signs must be a list of numbers")
+        if not _numbers([desc["radius"], desc.get("steps", 512)]):
+            raise argparse.ArgumentTypeError("inline loop radius and steps must be numbers")
+        # a coordinate is a name or its index; a list compares without hashing
+        unknown = [c for c in coords if c not in [*loops.AXIS_INDEX, *range(4)]]
         if unknown:
             raise argparse.ArgumentTypeError(
                 f"unknown loop coordinates {unknown}; use {sorted(loops.AXIS_INDEX)}"
             )
-        center = [complex(re, im) for re, im in desc["center"]]
         loop = loops.circle_loop(
-            center,
+            [complex(re, im) for re, im in center],
             float(desc["radius"]),
-            desc["coords"],
-            desc.get("signs"),
+            coords,
+            signs,
             steps=int(desc.get("steps", 512)),
             name=desc.get("name", "inline"),
         )
@@ -263,10 +279,10 @@ def _cmd_period(args) -> int:
     loop = _parse_loop(args.loop, args.steps)
     kind = FunctionalKind.coerce(args.functional)
     if args.method == "oracle":
-        value = oracle.oracle_period(loop, kind, N=args.N, steps=args.steps)
+        value = oracle.oracle_period(loop, N=args.N, steps=args.steps)[kind]
         rep = traces.PeriodReport(value, kind, loop.name)
     else:
-        rep = traces.loop_period(loop, kind, steps=args.steps)
+        rep = traces.loop_period(loop, steps=args.steps)[kind]
     payload = rep.to_json()
     payload["method"] = args.method
     _emit(_artifact(payload, args.seed), args.out)

@@ -49,10 +49,6 @@ class FunctionalKind(enum.Enum):
         for kind in cls:
             if key == kind.value:
                 return kind
-        if key in ("canonicaltrace", "canonical_trace"):
-            return cls.CANONICAL_TRACE
-        if key in ("phitensortrace", "phi_tensor_trace", "phi"):
-            return cls.PHI_TENSOR_TRACE
         raise ValueError(f"unknown functional {value!r}")
 
     def json_tag(self) -> str:

@@ -89,11 +89,9 @@ MAX_DENSE_N = 1024
 
 # the Klein blocks (s, r): tau acts by s and right translation by t by r
 KLEIN_BLOCKS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-# each functional's weight on the (P_{s,r}^-1 X_{s,r} e_0)_0 of the blocks
-_WEIGHTS = {
-    FunctionalKind.CANONICAL_TRACE: (0.25, 0.25, 0.25, 0.25),
-    FunctionalKind.PHI_TENSOR_TRACE: (0.0, 0.0, -0.5, -0.5),
-}
+# each functional's weight on the (P_{s,r}^-1 X_{s,r} e_0)_0 of the blocks,
+# one row per functional in FunctionalKind order (Tr, phi~)
+_WEIGHTS = np.array([(0.25, 0.25, 0.25, 0.25), (0.0, 0.0, -0.5, -0.5)])
 
 # points per batch of margin_grid (bounds its (points, N) temporaries)
 MARGIN_CHUNK = 512
@@ -404,13 +402,15 @@ def margin_grid(points: np.ndarray, N: int) -> np.ndarray:
 # oracle traces
 
 
-def _klein_form(Z, dZ, N: int, kind: FunctionalKind) -> np.ndarray:
-    """The functional on P(z)^-1 P(dz) for points Z and tangents dZ (n, 4).
+def _klein_form(Z, dZ, N: int) -> np.ndarray:
+    """Both functionals on P(z)^-1 P(dz) for points Z and tangents dZ (n, 4).
 
-    A one-hot dz gives a word's oracle value; along a loop, dz = z'(s)
-    gives the period's 1-form.  It is sum_{s,r} w_{s,r} y_{s,r}, with
-    y_{s,r} = (P_{s,r}^-1 X_{s,r} e_0)_0, X = P(dz) and the weights w of
-    _WEIGHTS: 1/4 on every block for Tr, -1/2 on the tau-odd ones for phi~.
+    Returns shape (2, n), one row per functional in FunctionalKind order
+    (Tr, phi~).  A one-hot dz gives a word's oracle values; along a loop,
+    dz = z'(s) gives the periods' 1-forms.  Row k is sum_{s,r} w_{s,r}
+    y_{s,r}, with y_{s,r} = (P_{s,r}^-1 X_{s,r} e_0)_0, X = P(dz) and the
+    weights w of row k of _WEIGHTS: 1/4 on every block for Tr, -1/2 on the
+    tau-odd ones for phi~.  One solve serves both rows.
 
     Proof.  The tau half s, spanned by d(g, m) + s d(tau g, m) for g in the
     cosets e and t, is the left regular representation of D_N, where
@@ -435,7 +435,7 @@ def _klein_form(Z, dZ, N: int, kind: FunctionalKind) -> np.ndarray:
     columns of the row-permuted block within |u_kk| |L e_k| <= sqrt(2)
     |u_kk| of rank k - 1: the block's smallest singular value is below
     sqrt(2) |u_kk|, as for a block solved alone.  All four blocks are
-    solved for both functionals, as phi~ needs all of P invertible.
+    solved, as phi~ too needs all of P invertible.
     """
     off, diag = jacobi_blocks(Z, N)
     dZ = np.asarray(dZ, dtype=complex).reshape(-1, 4)
@@ -456,18 +456,19 @@ def _klein_form(Z, dZ, N: int, kind: FunctionalKind) -> np.ndarray:
     )
     if info > 0 or np.abs(pivots).min() < LU_PIVOT_TOL:
         raise SingularTruncation(f"pencil truncation at N={N} is numerically singular")
-    # on a strided y numpy's matmul takes another path, with other roundoff
+    # on a strided y, or one matmul for both rows, numpy takes another path,
+    # with other roundoff
     y = np.ascontiguousarray(x.reshape(diag.shape)[..., 0])
-    return y @ np.array(_WEIGHTS[kind])
+    return np.stack([y @ w for w in _WEIGHTS])
 
 
 def oracle_functional(z, word: str, functional, N: int) -> complex:
     """The functional on pencil^-1 * word matrix: the word's one-hot tangent."""
     if word not in WORDS:
         raise ValueError(f"unknown word {word!r}")
-    kind = FunctionalKind.coerce(functional)
     onehot = [float(w == word) for w in WORDS]
-    return complex(_klein_form(as_point(z).as_array(), onehot, N, kind)[0])
+    values = _klein_form(as_point(z).as_array(), onehot, N)[:, 0]
+    return complex(dict(zip(FunctionalKind, values))[FunctionalKind.coerce(functional)])
 
 
 def oracle_trace(z, word: str, N: int) -> complex:
@@ -514,48 +515,57 @@ def refine(fn, n: int, target: float, n_max: int, what: str) -> tuple:
         n *= 2
 
 
+def trapezoid_periods(loop: LoopPath, steps: int | None, guard, form, what: str) -> dict:
+    """Both functionals' periods around a closed loop, keyed by FunctionalKind.
+
+    The driver of both period routes; each passes in its own ``guard`` and
+    1-form.  On a grid of n steps (first ``steps``, default loop.steps),
+    ``guard(Z)`` gives the spectrum margins of the samples Z (n, 4), and
+    LoopHitsSpectrum is raised at one <= 1e-9; ``form(Z, dZ)``, with dZ =
+    z'(s), gives the 1-forms of shape (2, n) in FunctionalKind order, and
+    their periodic trapezoid means are the grid's two periods.  Steps
+    double through ``refine`` until both periods agree to PERIOD_TARGET
+    (NonConvergent if either still misses at MAX_STEPS), then one
+    Richardson step.
+    """
+    n = loop.steps if steps is None else int(steps)
+
+    def value_at(nsteps: int) -> np.ndarray:
+        Z = loop.samples(nsteps)[:-1]
+        margin = guard(Z).min()
+        if margin <= 1e-9:
+            raise LoopHitsSpectrum(f"{what}: sample margin {margin:.3e}")
+        return form(Z, loop.derivatives(nsteps)).mean(axis=-1)
+
+    coarse, fine = refine(value_at, n, PERIOD_TARGET, MAX_STEPS, what)
+    # in Python complex arithmetic: numpy's complex divide rounds otherwise
+    return {
+        kind: richardson(complex(c), complex(f))
+        for kind, c, f in zip(FunctionalKind, coarse, fine)
+    }
+
+
 # ---------------------------------------------------------------------------
 # oracle loop periods
 
 
-def _check_loop_margins(Z: np.ndarray, N: int, loop_name: str) -> None:
-    margins = margin_grid(Z, N)
-    if margins.min() <= 1e-9:
-        raise LoopHitsSpectrum(
-            f"loop {loop_name}: sample margin {margins.min():.3e} at N={N}"
-        )
+def oracle_period(loop: LoopPath, N: int = 32, steps: int | None = None) -> dict:
+    """Both loop periods from the finite truncation, keyed by FunctionalKind.
 
-
-def oracle_period(
-    loop: LoopPath,
-    functional,
-    N: int = 32,
-    steps: int | None = None,
-) -> complex:
-    """Loop period from the finite truncation.
-
-    One path for both functionals: the trapezoid integral of the oracle
-    1-form along the loop, with step doubling through ``refine`` until two
-    grids agree to PERIOD_TARGET (NonConvergent past MAX_STEPS), then one
-    Richardson step.  The pencil is linear in z, P(z) = sum_w z_w W_w, so
-    on a tangent dz the 1-form is the functional on P^-1 P(dz), which
-    ``_klein_form`` takes from one stacked tridiagonal solve of every Klein
-    block of a grid's samples.
-    The samples are guarded by the symbol margin (``margin_grid``).
-    A phase unwrap of
-    det P would need no comparison but aliases: the phase turns 64 times
-    around L1 at N = 32, so coarse samples can pass the unwrap check with
-    a wrong integer.
+    The ``trapezoid_periods`` of the oracle 1-forms.  The pencil is linear
+    in z, P(z) = sum_w z_w W_w, so on a tangent dz each 1-form is its
+    functional on P^-1 P(dz), which ``_klein_form`` takes for both
+    functionals from one stacked tridiagonal solve of every Klein block of
+    a grid's samples.  The samples are guarded by the symbol margin
+    (``margin_grid``).  A phase unwrap of det P would need no comparison
+    but aliases: the phase turns 64 times around L1 at N = 32, so coarse
+    samples can pass the unwrap check with a wrong integer.
     """
     _check_size(N)  # before the loop margins allocate (samples, N) arrays
-    kind = FunctionalKind.coerce(functional)
-    n = loop.steps if steps is None else int(steps)
-
-    def value_at(nsteps: int) -> complex:
-        Z = loop.samples(nsteps)[:-1]
-        _check_loop_margins(Z, N, loop.name)
-        # periodic trapezoid of the coefficient 1-form along the loop
-        return complex(_klein_form(Z, loop.derivatives(nsteps), N, kind).mean())
-
-    what = f"oracle period on {loop.name}"
-    return richardson(*refine(value_at, n, PERIOD_TARGET, MAX_STEPS, what))
+    return trapezoid_periods(
+        loop,
+        steps,
+        lambda Z: margin_grid(Z, N),
+        lambda Z, dZ: _klein_form(Z, dZ, N),
+        f"oracle period on {loop.name} at N={N}",
+    )

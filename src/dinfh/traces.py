@@ -43,10 +43,10 @@ from typing import List, Sequence
 import numpy as np
 
 from . import oracle
-from .errors import LoopHitsSpectrum, NotDegenerate, OnSpectrum
+from .errors import NotDegenerate, OnSpectrum
 from .group import FunctionalKind
 from .loops import LoopPath
-from .oracle import MAX_STEPS, PERIOD_TARGET, WORDS, fft_angles, refine, richardson
+from .oracle import WORDS, fft_angles, refine
 from .oracle import symbol_integrand
 from .spectrum import PencilPoint, as_point, membership_grid, pencil_scale
 
@@ -317,69 +317,50 @@ class PeriodReport:
         }
 
 
-def loop_coefficients(Z: np.ndarray, functional) -> np.ndarray:
-    """The four 1-form coefficients (words e, a, t, tau) at every sample.
+def loop_coefficients(Z: np.ndarray) -> np.ndarray:
+    """The four 1-form coefficients (words e, a, t, tau) at every sample,
+    for both functionals.
 
     Exact: the circle means of ``oracle.word_integrands`` read off term by
-    term from ``oracle.circle_means`` (per block, mean 1/G = 1/r and
-    mean cos/G = zeta/r); shape (len(Z), 4).  phi~ reads only block -.
+    term from one ``oracle.circle_means`` call (per block, mean 1/G = 1/r
+    and mean cos/G = zeta/r); shape (2, len(Z), 4), one row per functional
+    in FunctionalKind order (Tr, phi~).  phi~ reads only block -.
     """
-    kind = FunctionalKind.coerce(functional)
     Z = np.asarray(Z, dtype=complex)
     _, inv, cos = oracle.circle_means(Z)
     z0, z1, z2, z3 = Z.T
-    if kind is FunctionalKind.CANONICAL_TRACE:
-        ep, em = (z0 + z3) * inv[0], (z0 - z3) * inv[1]
-        s1, sc = inv.sum(axis=0), cos.sum(axis=0)
-        coeffs = (
-            0.5 * (ep + em),
-            -0.5 * (z1 * s1 + z2 * sc),
-            -0.5 * (z1 * sc + z2 * s1),
-            0.5 * (ep - em),
-        )
-    else:
-        em = (z0 - z3) * inv[1]
-        coeffs = -em, z1 * inv[1] + z2 * cos[1], z1 * cos[1] + z2 * inv[1], em
-    return np.stack(coeffs, axis=-1)
-
-
-def _loop_margin_check(Z: np.ndarray, name: str) -> None:
-    margin, _ = membership_grid(Z)
-    if margin.min() <= 1e-9:
-        raise LoopHitsSpectrum(
-            f"loop {name}: closed-form margin {margin.min():.3e} at a sample"
-        )
-
-
-def loop_period(
-    loop: LoopPath,
-    functional,
-    steps: int | None = None,
-) -> PeriodReport:
-    """Contour integral of the coefficient 1-form around a closed loop.
-
-    Trapezoid in the loop parameter with one Richardson refinement; steps
-    double until two grids agree to PERIOD_TARGET (NonConvergent past
-    MAX_STEPS).  The coefficients
-    at the samples are the exact ``loop_coefficients``.  The expected
-    period lattice unit (pi*i/2 or pi*i) and the residual against its
-    nearest integer multiple are reported.
-    """
-    kind = FunctionalKind.coerce(functional)
-    n = loop.steps if steps is None else int(steps)
-
-    def value_at(nsteps: int) -> complex:
-        Z = loop.samples(nsteps)
-        _loop_margin_check(Z, loop.name)
-        coeffs = loop_coefficients(Z[:-1], kind)
-        dz = loop.derivatives(nsteps)
-        # periodic trapezoid of c(z(s)) . z'(s): geometric convergence
-        return complex((coeffs * dz).sum(axis=1).mean())
-
-    value = richardson(
-        *refine(value_at, n, PERIOD_TARGET, MAX_STEPS, f"period on {loop.name}")
+    ep, em = (z0 + z3) * inv[0], (z0 - z3) * inv[1]
+    s1, sc = inv.sum(axis=0), cos.sum(axis=0)
+    tr = (
+        0.5 * (ep + em),
+        -0.5 * (z1 * s1 + z2 * sc),
+        -0.5 * (z1 * sc + z2 * s1),
+        0.5 * (ep - em),
     )
-    return PeriodReport(value, kind, loop.name)
+    phi = -em, z1 * inv[1] + z2 * cos[1], z1 * cos[1] + z2 * inv[1], em
+    return np.stack([np.stack(tr, axis=-1), np.stack(phi, axis=-1)])
+
+
+def loop_period(loop: LoopPath, steps: int | None = None) -> dict:
+    """Contour integrals of both coefficient 1-forms around a closed loop.
+
+    The ``oracle.trapezoid_periods`` of the exact ``loop_coefficients``
+    contracted with z'(s), guarded by the closed-form margin
+    (``membership_grid``): trapezoid in the loop parameter with one
+    Richardson refinement, steps doubling until both periods agree to
+    PERIOD_TARGET (NonConvergent past MAX_STEPS).  Returns a PeriodReport
+    per FunctionalKind: the expected period lattice unit (pi*i/2 or pi*i)
+    and the residual against its nearest integer multiple.
+    """
+    values = oracle.trapezoid_periods(
+        loop,
+        steps,
+        lambda Z: membership_grid(Z)[0],
+        # periodic trapezoid of c(z(s)) . z'(s): geometric convergence
+        lambda Z, dZ: (loop_coefficients(Z) * dZ).sum(axis=-1),
+        f"period on {loop.name}",
+    )
+    return {kind: PeriodReport(v, kind, loop.name) for kind, v in values.items()}
 
 
 def _integer_rank(rows: List[List[int]]) -> int:
@@ -414,10 +395,7 @@ def class_independence(loops: Sequence[LoopPath]) -> dict:
     integers = [[0] * len(loops) for _ in range(2)]
     residuals = np.empty((2, len(loops)))
     for j, loop in enumerate(loops):
-        for i, kind in enumerate(
-            (FunctionalKind.CANONICAL_TRACE, FunctionalKind.PHI_TENSOR_TRACE)
-        ):
-            rep = loop_period(loop, kind)
+        for i, rep in enumerate(loop_period(loop).values()):
             periods[i, j] = rep.value
             integers[i][j] = rep.nearest_multiple
             residuals[i, j] = rep.residual

@@ -10,8 +10,8 @@ import dataclasses
 
 import pytest
 
-from dinfh import selfsim
-from dinfh.acceptance import CRITERIA, criterion_8, run_all
+from dinfh import oracle, selfsim
+from dinfh.acceptance import CRITERIA, criterion_6, criterion_8, run_all
 from dinfh.config import RunConfig
 from dinfh.group import GroupElement
 
@@ -60,6 +60,21 @@ def test_criterion_6_specifics(results):
     assert details["rank"] == 2
     assert details["max_analytic_residual"] <= 1e-6
     assert results[6].seconds < 60.0
+
+
+def test_criterion_6_solves_each_oracle_grid_once(monkeypatch):
+    # one stacked gtsv per grid gives both functionals: L1 and L2 at 512
+    # and 1024 steps
+    calls = []
+    gtsv = oracle._GTSV
+
+    def counted(*arrays, **kw):
+        calls.append(len(arrays[1]))
+        return gtsv(*arrays, **kw)
+
+    monkeypatch.setattr(oracle, "_GTSV", counted)
+    assert criterion_6(RunConfig()).passed
+    assert calls == [4 * 32 * steps for _ in range(2) for steps in (512, 1024)]
 
 
 def test_criterion_9_specifics(results):

@@ -295,8 +295,37 @@ class TestUsageErrors:
                 "unknown loop coordinates ['z9']; use ['z0', 'z1', 'z2', 'z3']",
             ),
             ("[1]", "an inline loop must be a JSON object"),
+            (
+                '{"center": 5, "radius": 1, "coords": ["z0"]}',
+                "inline loop center must be a list of [re, im] pairs",
+            ),
+            (
+                '{"center": [[1, 0], [0, 0], [0, 0], [0, 0]], "radius": 1, "coords": 3}',
+                "inline loop coords must be a list",
+            ),
+            (
+                '{"center": [1, 2, 3, 4], "radius": 1, "coords": ["z0"]}',
+                "inline loop center must be a list of [re, im] pairs",
+            ),
+            (
+                '{"center": [[1, 0], [0, 0], [0, 0], [0, 0]], "radius": 1, "coords": ["z0"],'
+                ' "signs": 3}',
+                "inline loop signs must be a list of numbers",
+            ),
+            (
+                '{"center": [[1, 0], [0, 0], [0, 0], [0, 0]], "radius": [1], "coords": ["z0"]}',
+                "inline loop radius and steps must be numbers",
+            ),
+            (
+                '{"center": [[1, 0], [0, 0], [0, 0], [0, 0]], "radius": 1, "coords": [7, ["z0"]]}',
+                "unknown loop coordinates [7, ['z0']]; use ['z0', 'z1', 'z2', 'z3']",
+            ),
         ],
-        ids=["missing-keys", "unknown-axis", "not-an-object"],
+        ids=[
+            "missing-keys", "unknown-axis", "not-an-object", "center-number",
+            "coords-number", "center-not-pairs", "signs-number", "radius-list",
+            "axis-index-out-of-range",
+        ],
     )
     def test_malformed_inline_loop_exits_1(self, desc, message):
         proc = subprocess.run(

@@ -10,6 +10,7 @@ from dinfh.group import (
     GEN_U,
     IDENTITY,
     AlgebraElement,
+    FunctionalKind,
     GroupElement,
     algebra_mul,
     algebra_star,
@@ -174,6 +175,14 @@ class TestFunctionals:
         assert algebra_mul(f, finv) == AlgebraElement({IDENTITY: 1.0})
         tau = AlgebraElement({GEN_TAU: 1.0})
         assert canonical_trace(algebra_mul(finv, tau)) == pytest.approx(-1 / 3)
+
+    def test_coerce_takes_only_the_two_tags(self):
+        assert FunctionalKind.coerce("TR") is FunctionalKind.CANONICAL_TRACE
+        assert FunctionalKind.coerce("phitr") is FunctionalKind.PHI_TENSOR_TRACE
+        kind = FunctionalKind.PHI_TENSOR_TRACE
+        assert FunctionalKind.coerce(kind) is kind
+        with pytest.raises(ValueError, match="unknown functional 'phi'"):
+            FunctionalKind.coerce("phi")
 
 
 class TestParser:

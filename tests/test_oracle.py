@@ -39,6 +39,8 @@ from dinfh.oracle import (
     word_permutation,
 )
 
+TR, PHI = FunctionalKind.CANONICAL_TRACE, FunctionalKind.PHI_TENSOR_TRACE
+
 P = (1.0, 8.0, 4.0, 2.0)
 
 GTSV = scipy.linalg.get_lapack_funcs("gtsv", dtype=complex)
@@ -241,7 +243,7 @@ def random_offspectrum_points(rng, count, require_margin=0.05):
     return pts
 
 
-def reference_klein_form(Z, dZ, N, kind):
+def reference_klein_form(Z, dZ, N):
     """_klein_form's per-block loop: one gtsv per Klein block and point."""
     off, diag = jacobi_blocks(Z, N)
     dZ = np.asarray(dZ, dtype=complex).reshape(-1, 4)
@@ -255,7 +257,7 @@ def reference_klein_form(Z, dZ, N, kind):
         if info > 0 or np.abs(pivots).min() < LU_PIVOT_TOL:
             raise SingularTruncation(f"pencil truncation at N={N} is numerically singular")
         y[k] = x[0]
-    return y @ np.array(oracle._WEIGHTS[kind])
+    return np.stack([y @ w for w in oracle._WEIGHTS])
 
 
 class TestPencilMatrix:
@@ -504,13 +506,14 @@ class TestKleinSplit:
                 points.append(z)
         tangents = [np.eye(4)[i] for i in range(4)]
         tangents += [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(3)]
-        for kind in FunctionalKind:
-            Z = np.array([z for z in points for _ in tangents])
-            dZ = np.array([dz for _ in points for dz in tangents])
-            got = oracle._klein_form(Z, dZ, N, kind)
+        Z = np.array([z for z in points for _ in tangents])
+        dZ = np.array([dz for _ in points for dz in tangents])
+        got = oracle._klein_form(Z, dZ, N)
+        assert got.shape == (2, len(Z))
+        for row, kind in zip(got, FunctionalKind):
             for k, (z, dz) in enumerate(zip(Z, dZ)):
                 ref = reference_half_form(pencil_matrix(z, N), dz, kind)
-                assert abs(got[k] - ref) <= 1e-13 * abs(ref)
+                assert abs(row[k] - ref) <= 1e-13 * abs(ref)
 
     def test_pencil_is_immutable(self):
         pencil = pencil_matrix(P, 8)
@@ -569,11 +572,11 @@ class TestStackedKernel:
     def test_bit_identical_to_the_per_block_loop(self, rng, N, count):
         Z, dZ = kernel_points(rng, count)
         Z[count // 2] = PIVOTING_POINT
-        for kind in FunctionalKind:
-            got = oracle._klein_form(Z, dZ, N, kind)
-            ref = reference_klein_form(Z, dZ, N, kind)
-            assert got.shape == ref.shape == (count,)
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        got = oracle._klein_form(Z, dZ, N)
+        ref = reference_klein_form(Z, dZ, N)
+        assert got.shape == ref.shape == (2, count)
+        for got_row, ref_row in zip(got, ref):
+            assert np.array_equal(got_row.view(np.uint64), ref_row.view(np.uint64))
 
     @pytest.mark.parametrize("N", [3, 5, 16, 33])
     def test_pivoting_point_interchanges_rows(self, N):
@@ -598,11 +601,10 @@ class TestStackedKernel:
         assert (info > 0, pivot == 0.0) == (exact, exact)
         Z, dZ = kernel_points(rng, 7)
         Z[3] = bad
-        for kind in FunctionalKind:
-            with pytest.raises(SingularTruncation):
-                reference_klein_form(Z, dZ, N, kind)
-            with pytest.raises(SingularTruncation):
-                oracle._klein_form(Z, dZ, N, kind)
+        with pytest.raises(SingularTruncation):
+            reference_klein_form(Z, dZ, N)
+        with pytest.raises(SingularTruncation):
+            oracle._klein_form(Z, dZ, N)
 
 
 def path_generators(N):
@@ -731,59 +733,52 @@ TWISTED_LOOPS = [
 
 class TestOraclePeriods:
     def test_L1_canonical(self):
-        val = oracle_period(loops.loop_L1(), "tr", N=32)
+        val = oracle_period(loops.loop_L1(), N=32)[TR]
         assert val == pytest.approx(1j * math.pi, abs=1e-6)
 
     @pytest.mark.parametrize("steps", [16, 64])
     def test_L1_canonical_on_coarse_grids(self, steps):
         # det P turns 64 times around L1 at N = 32: a phase unwrap of
         # coarse samples aliased this to 0
-        val = oracle_period(loops.loop_L1(), "tr", N=32, steps=steps)
+        val = oracle_period(loops.loop_L1(), N=32, steps=steps)[TR]
         assert abs(val - 1j * math.pi) <= 1e-6
 
     def test_L1_twisted(self):
-        val = oracle_period(loops.loop_L1(), "phitr", N=16, steps=128)
+        val = oracle_period(loops.loop_L1(), N=16, steps=128)[PHI]
         assert val == pytest.approx(-2j * math.pi, abs=1e-6)
 
     def test_L2_twisted_vanishes(self):
-        val = oracle_period(loops.loop_L2(), "phitr", N=16, steps=128)
+        val = oracle_period(loops.loop_L2(), N=16, steps=128)[PHI]
         assert abs(val) <= 1e-6
 
     def test_size_cap_before_the_loop_margins(self):
         # N = 2^40 would make the margin check ask for 2^40 angles first
         with pytest.raises(TruncationTooLarge):
-            oracle_period(loops.loop_L1(), "tr", N=2**40)
+            oracle_period(loops.loop_L1(), N=2**40)
 
     def test_loop_through_spectrum_rejected(self):
         bad = loops.circle_loop([1.0, 0, 0, 1.5], 0.5, ["z0"], name="bad")
         with pytest.raises(LoopHitsSpectrum):
-            oracle_period(bad, "tr", N=8, steps=64)
+            oracle_period(bad, N=8, steps=64)
 
     def test_twisted_nonconvergent_at_step_cap(self, monkeypatch):
         # off the spectrum at z0 = 0 by 0.01: 16 -> 32 steps change the
-        # period by ~20, so a 32-step cap must raise, not return
+        # period by ~20, so a 32-step cap must raise, not return; both
+        # functionals refine together, so neither returns the first grid
+        # it could unwrap
         monkeypatch.setattr(oracle, "MAX_STEPS", 32)
         near = loops.circle_loop([1.0, 0, 0, 0], 0.99, ["z0"], steps=8, name="near")
         with pytest.raises(NonConvergent, match="oracle period on near .* at 32$"):
-            oracle_period(near, "phitr", N=8)
-        # the canonical trace compares grids too, instead of returning the
-        # first grid it can unwrap
-        with pytest.raises(NonConvergent, match="oracle period on near .* at 32$"):
-            oracle_period(near, "tr", N=8)
-
-    def test_twisted_loop_through_spectrum_rejected(self):
-        bad = loops.circle_loop([1.0, 0, 0, 1.5], 0.5, ["z0"], name="bad")
-        with pytest.raises(LoopHitsSpectrum):
-            oracle_period(bad, "phitr", N=8, steps=64)
+            oracle_period(near, N=8)
 
     @pytest.mark.parametrize("loop", TWISTED_LOOPS, ids=lambda lp: lp.name)
     def test_twisted_matches_full_inverse_reference(self, loop):
-        val = oracle_period(loop, "phitr", N=16, steps=128)
+        val = oracle_period(loop, N=16, steps=128)[PHI]
         assert abs(val - reference_twisted_period(loop, 16, 128)) <= 1e-12
 
     @pytest.mark.parametrize("loop", TWISTED_LOOPS, ids=lambda lp: lp.name)
     def test_canonical_matches_full_slogdet_reference(self, loop):
-        val = oracle_period(loop, "tr", N=16)
+        val = oracle_period(loop, N=16)[TR]
         assert abs(val - reference_canonical_period(loop, 16, loop.steps)) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -793,8 +788,8 @@ class TestOraclePeriods:
         ids=["analytic", "spectral"],
     )
     def test_one_tridiagonal_solve_per_grid(self, monkeypatch, loop):
-        # 128 and 256 steps: one gtsv per grid, on all 4 S Klein blocks of
-        # its S samples end to end, solved in place
+        # 128 and 256 steps: one gtsv per grid for both functionals, on all
+        # 4 S Klein blocks of its S samples end to end, solved in place
         calls = []
         gtsv = oracle._GTSV
 
@@ -804,15 +799,13 @@ class TestOraclePeriods:
 
         monkeypatch.setattr(oracle, "_GTSV", counted)
         N = 16
-        for functional in ("phitr", "tr"):
-            calls.clear()
-            oracle_period(loop, functional, N=N, steps=128)
-            assert len(calls) == 2
-            for S, (shapes, kw) in zip((128, 256), calls):
-                size = 4 * S * N
-                assert shapes == ((size - 1,), (size,), (size - 1,), (size,))
-                flags = ("overwrite_dl", "overwrite_d", "overwrite_du", "overwrite_b")
-                assert all(kw.get(flag) for flag in flags)
+        assert set(oracle_period(loop, N=N, steps=128)) == set(FunctionalKind)
+        assert len(calls) == 2
+        for S, (shapes, kw) in zip((128, 256), calls):
+            size = 4 * S * N
+            assert shapes == ((size - 1,), (size,), (size - 1,), (size,))
+            flags = ("overwrite_dl", "overwrite_d", "overwrite_du", "overwrite_b")
+            assert all(kw.get(flag) for flag in flags)
 
 
 # grid angles and off-grid angles

@@ -30,6 +30,10 @@ from dinfh.traces import (
 )
 from test_oracle import NEAR_UNIT_ZETA, split_test_points
 
+TR, PHI = FunctionalKind.CANONICAL_TRACE, FunctionalKind.PHI_TENSOR_TRACE
+# the row of each functional in loop_coefficients
+ROW = {"tr": 0, "phitr": 1}
+
 P = (1.0, 8.0, 4.0, 2.0)
 Q = (2.0, 0.0, 0.0, 1.0)
 
@@ -207,7 +211,7 @@ NEAR_TR_E = 1.0 / math.sqrt((NEAR[0] - 2.0) * (NEAR[0] + 2.0))
 class TestNearSpectrum:
     def test_loop_coefficients_are_exact(self):
         # a 4096-node trapezoid gives 3088.7 against the true 2236.07
-        coeffs = loop_coefficients(np.array([NEAR], dtype=complex), "tr")
+        coeffs = loop_coefficients(np.array([NEAR], dtype=complex))[0]
         assert coeffs[0, 0] == pytest.approx(NEAR_TR_E, rel=1e-12)
 
     def test_fine_grid_reaches_the_closed_form(self):
@@ -223,25 +227,24 @@ class TestClosedForm:
     def test_coefficients_match_fine_trapezoid(self, rng, functional):
         # z0 = +-z3, z1 = 0, z2 = 0 (z1 z2 = 0) and |zeta| = 0.989
         pts = np.concatenate([split_test_points(rng, 10), [NEAR_UNIT_ZETA]])
-        coeffs = loop_coefficients(pts, functional)
-        assert coeffs.shape == (len(pts), 4)
+        both = loop_coefficients(pts)
+        assert both.shape == (2, len(pts), 4)
+        coeffs = both[ROW[functional]]
         for z, row in zip(pts, coeffs):
             ref = fine_trapezoid_coefficients(z, functional)
             assert np.abs(row - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
 
     def test_match_dense_oracle_at_p(self):
         # |zeta| <= 0.63 at P: the N = 128 truncation is exact to |zeta|^N < 1e-25
-        tr = loop_coefficients(np.array([P], dtype=complex), "tr")[0]
-        phi = loop_coefficients(np.array([P], dtype=complex), "phitr")[0]
+        tr, phi = loop_coefficients(np.array([P], dtype=complex))[:, 0]
         for i, word in enumerate(oracle.WORDS):
             assert tr[i] == pytest.approx(oracle.oracle_trace(P, word, 128), abs=1e-14)
             assert phi[i] == pytest.approx(oracle.oracle_phitr(P, word, 128), abs=1e-14)
 
     @pytest.mark.parametrize("z", [(2, 1, 1, 0), (0, 1, 1, 2)])
     def test_on_spectrum_raises(self, z):
-        for functional in ("tr", "phitr"):
-            with pytest.raises(OnSpectrum):
-                loop_coefficients(np.array([z], dtype=complex), functional)
+        with pytest.raises(OnSpectrum):
+            loop_coefficients(np.array([z], dtype=complex))
         with pytest.raises(OnSpectrum):
             potential_tr(z)
 
@@ -295,38 +298,39 @@ class TestClosedness:
 
 class TestPeriods:
     def test_L1_canonical(self):
-        rep = loop_period(loops.loop_L1(), "tr")
+        rep = loop_period(loops.loop_L1())[TR]
         assert rep.value == pytest.approx(1j * math.pi, abs=1e-9)
         assert rep.nearest_multiple == 2
         assert rep.residual <= 1e-6
 
     def test_L1_twisted(self):
-        rep = loop_period(loops.loop_L1(), "phitr")
+        rep = loop_period(loops.loop_L1())[PHI]
         assert rep.value == pytest.approx(-2j * math.pi, abs=1e-9)
         assert rep.nearest_multiple == -2
 
     def test_L2_periods(self):
-        rep_tr = loop_period(loops.loop_L2(), "tr")
-        rep_phi = loop_period(loops.loop_L2(), "phitr")
+        rep_tr, rep_phi = loop_period(loops.loop_L2()).values()
         assert rep_tr.value == pytest.approx(1j * math.pi, abs=1e-9)
         assert abs(rep_phi.value) <= 1e-9
         assert rep_phi.nearest_multiple == 0
 
     @pytest.mark.parametrize("functional", ["tr", "phitr"])
     def test_both_periods_take_the_richardson_step(self, monkeypatch, functional):
-        # a scripted (coarse, fine) pair: returning the fine grid alone
-        # (4.0) or the coarse one (1.0) instead of the step fails here
+        # a scripted (coarse, fine) pair per functional: returning the fine
+        # grid alone (4.0, 8.0) or the coarse one (1.0, 2.0) instead of the
+        # step fails here, and so does a swap of the functionals
         def scripted(fn, n, target, n_max, what):
-            return 1.0, 4.0
+            return np.array([1.0, 2.0]), np.array([4.0, 8.0])
 
         monkeypatch.setattr(oracle, "refine", scripted)
-        monkeypatch.setattr(traces, "refine", scripted)
         assert oracle.richardson(1.0, 4.0) == 5.0
-        assert oracle.oracle_period(loops.loop_L1(), functional, N=8) == 5.0
-        assert loop_period(loops.loop_L1(), functional).value == 5.0
+        kind = FunctionalKind.coerce(functional)
+        expect = 5.0 if kind is TR else 10.0
+        assert oracle.oracle_period(loops.loop_L1(), N=8)[kind] == expect
+        assert loop_period(loops.loop_L1())[kind].value == expect
 
     def test_report_schema(self):
-        rep = loop_period(loops.loop_L1(), "tr", steps=64)
+        rep = loop_period(loops.loop_L1(), steps=64)[TR]
         js = rep.to_json()
         assert set(js) == {
             "loop",
@@ -343,15 +347,31 @@ class TestPeriods:
     def test_loop_through_spectrum_rejected(self):
         bad = loops.circle_loop([1.0, 0, 0, 1.5], 0.5, ["z0"], name="bad")
         with pytest.raises(LoopHitsSpectrum):
-            loop_period(bad, "tr", steps=64)
+            loop_period(bad, steps=64)
 
     def test_nonconvergent_at_step_cap(self, monkeypatch):
         # off the spectrum at z0 = 0 by 0.01: 16 -> 32 steps change the
-        # period by ~20, so a 32-step cap must raise, not return
-        monkeypatch.setattr(traces, "MAX_STEPS", 32)
+        # period by ~20, so a 32-step cap must raise, not return (the cap
+        # lives with the driver both routes share)
+        monkeypatch.setattr(oracle, "MAX_STEPS", 32)
         near = loops.circle_loop([1.0, 0, 0, 0], 0.99, ["z0"], steps=8, name="near")
         with pytest.raises(NonConvergent, match="period on near .* at 32$"):
-            loop_period(near, "tr")
+            loop_period(near)
+
+    def test_one_circle_means_call_per_grid(self, monkeypatch):
+        # both functionals' coefficients come from one circle_means call on
+        # each grid's samples: 512 and 1024 steps on L1
+        calls = []
+        circle_means = oracle.circle_means
+
+        def counted(Z):
+            calls.append(len(Z))
+            return circle_means(Z)
+
+        monkeypatch.setattr(oracle, "circle_means", counted)
+        reps = loop_period(loops.loop_L1())
+        assert set(reps) == set(FunctionalKind)
+        assert calls == [512, 1024]
 
     def test_quanta(self):
         assert QUANTA[FunctionalKind.CANONICAL_TRACE] == 0.5j * math.pi
