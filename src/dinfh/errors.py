@@ -41,3 +41,8 @@ class LevelTooLarge(DinfhError):
 
 class TruncationTooLarge(DinfhError):
     """Raised when a dense truncation size exceeds MAX_DENSE_N."""
+
+
+class GridTooLarge(DinfhError):
+    """Raised when a first quadrature, period or raster grid exceeds its
+    cap, before anything of that size is allocated."""

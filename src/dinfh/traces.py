@@ -9,7 +9,10 @@ evaluated from them, with no quadrature.
 
 The trapezoid quadrature (``trace_quadrature``, ``trace_coefficients``)
 is the independent route that the closed forms are checked against, and
-the only route for the tabulated integrands:
+the only route for the tabulated integrands.  Both run one refinement: each
+node grid evaluates all requested words in one pass, and nodes double
+until every word agrees to QUAD_TARGET (a coupled stop, so the four
+coefficients cost one quadrature, not four).  The integrands:
 
 * ``formula="symbol"`` (default): the pointwise symbol route from
   :mod:`dinfh.oracle` - closed-form rational functions of G^+- from the
@@ -43,7 +46,7 @@ from typing import List, Sequence
 import numpy as np
 
 from . import oracle
-from .errors import NotDegenerate, OnSpectrum
+from .errors import GridTooLarge, NotDegenerate, OnSpectrum
 from .group import FunctionalKind
 from .loops import LoopPath
 from .oracle import WORDS, fft_angles, refine
@@ -175,23 +178,45 @@ def integrand_phitr(z, word: str, theta):
     return val if np.ndim(theta) else complex(val)
 
 
-def _mean_integrand(req: TraceRequest, n: int, formula: str) -> complex:
+def _mean_integrands(z: PencilPoint, functional, words, n: int, formula: str) -> np.ndarray:
+    """Means of the words' integrands on one n-node grid, in ``words`` order.
+
+    One pass per grid: the symbol route takes every word from one
+    ``oracle.word_integrands`` call, the tabulated one calls its per-word
+    integrands here.
+    """
     thetas = fft_angles(n)
-    z = req.z
     _, _, _, gm, gp = _parts(z, thetas)
     _require_offspectrum(z, (gm, gp), "trace_quadrature")
     if formula == "symbol":
-        vals = symbol_integrand(z, req.word, req.functional, thetas)
+        rows = oracle.word_integrands(z.as_array(), functional, thetas)
+        vals = [rows[WORDS.index(w)] for w in words]
     elif formula == "tabulated":
-        if req.functional is FunctionalKind.PHI_TENSOR_TRACE:
-            vals = integrand_phitr(z, req.word, thetas)
+        if functional is FunctionalKind.PHI_TENSOR_TRACE:
+            integrand = integrand_phitr
         elif is_degenerate(z):
-            vals = integrand_tr_degenerate(z, req.word, thetas)
+            integrand = integrand_tr_degenerate
         else:
-            vals = integrand_tr(z, req.word, thetas)
+            integrand = integrand_tr
+        vals = [integrand(z, w, thetas) for w in words]
     else:
         raise ValueError(f"unknown formula {formula!r}")
-    return complex(np.mean(vals))
+    return np.array([np.mean(v) for v in vals], dtype=complex)
+
+
+def _quadrature(z: PencilPoint, functional, words, n_nodes: int, formula: str) -> np.ndarray:
+    """The words' trapezoid means, nodes doubling from ``n_nodes`` until two
+    grids agree to QUAD_TARGET on every word (NonConvergent past MAX_NODES,
+    GridTooLarge before any node if ``n_nodes`` is above it)."""
+    if n_nodes > MAX_NODES:
+        raise GridTooLarge(f"quadrature: first grid of {n_nodes} exceeds the cap {MAX_NODES}")
+    return refine(
+        lambda n: _mean_integrands(z, functional, words, n, formula),
+        n_nodes,
+        QUAD_TARGET,
+        MAX_NODES,
+        "quadrature",
+    )[1]
 
 
 def trace_quadrature(req: TraceRequest, formula: str = "symbol") -> complex:
@@ -199,28 +224,24 @@ def trace_quadrature(req: TraceRequest, formula: str = "symbol") -> complex:
 
     Nodes are doubled until two consecutive grids agree to QUAD_TARGET;
     NonConvergent is raised if they still differ by more once the grid
-    reaches MAX_NODES.
+    reaches MAX_NODES, and GridTooLarge if the first grid is above it.
     """
-    return refine(
-        lambda n: _mean_integrand(req, n, formula),
-        req.n_nodes,
-        QUAD_TARGET,
-        MAX_NODES,
-        "quadrature",
-    )[1]
+    return complex(_quadrature(req.z, req.functional, (req.word,), req.n_nodes, formula)[0])
 
 
 def trace_coefficients(
     z, functional, n_nodes: int = 256, formula: str = "symbol"
 ) -> np.ndarray:
-    """The four 1-form coefficients (words e, a, t, tau) at one point."""
-    z = as_point(z)
-    return np.array(
-        [
-            trace_quadrature(TraceRequest(z, functional, w, n_nodes), formula=formula)
-            for w in WORDS
-        ]
-    )
+    """The four 1-form coefficients (words e, a, t, tau) at one point.
+
+    One quadrature for all four: each grid evaluates every word in one
+    pass, and the grids double until all four agree to QUAD_TARGET (the
+    coupled stop), so no word is less converged than by its own
+    ``trace_quadrature``.
+    """
+    # the request checks the point, the functional and the node count
+    req = TraceRequest(z, functional, WORDS[0], n_nodes)
+    return _quadrature(req.z, req.functional, WORDS, req.n_nodes, formula)
 
 
 # ---------------------------------------------------------------------------

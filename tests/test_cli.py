@@ -337,6 +337,30 @@ class TestUsageErrors:
         assert proc.stdout == ""
         assert proc.stderr == f"dinfh: error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--z", "1", "8", "4", "2", "--n-nodes", "1000000000000"],
+            ["mc-check", "--z", "1", "8", "4", "2", "--n-nodes", "1000000000000"],
+            ["period", "--loop", "L1", "--steps", "1000000000000"],
+            ["period", "--loop", "L1", "--steps", "1000000000000", "--method", "oracle"],
+            ["slice", "--axes", "z0", "z1", "--fixed", "1", "1", "--grid", "1000000", "1000000"],
+        ],
+        ids=["trace-nodes", "mc-check-nodes", "period-analytic", "period-oracle", "slice"],
+    )
+    def test_oversized_first_grid_exits_2(self, argv):
+        # each grid would need terabytes: the cap must refuse it before numpy
+        # is asked for the memory
+        proc = subprocess.run(
+            [sys.executable, "-m", "dinfh.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(Path(dinfh.__file__).resolve().parents[1])},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"] == "GridTooLarge"
+
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 

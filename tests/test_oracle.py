@@ -7,6 +7,7 @@ import scipy.linalg
 
 from dinfh import loops, oracle
 from dinfh.errors import (
+    GridTooLarge,
     LoopHitsSpectrum,
     NonConvergent,
     OnSpectrum,
@@ -761,6 +762,15 @@ class TestOraclePeriods:
         with pytest.raises(LoopHitsSpectrum):
             oracle_period(bad, N=8, steps=64)
 
+    def test_step_cap_before_the_samples(self):
+        # 2^40 steps would allocate (2^40, 4) samples first
+        loop = loops.loop_L1()
+        loop.fn = None  # any sampling fails
+        with pytest.raises(GridTooLarge, match="first grid of 1099511627776 exceeds"):
+            oracle_period(loop, N=32, steps=2**40)
+        with pytest.raises(GridTooLarge):
+            oracle_period(loop, N=32, steps=2 * oracle.MAX_STEPS)
+
     def test_twisted_nonconvergent_at_step_cap(self, monkeypatch):
         # off the spectrum at z0 = 0 by 0.01: 16 -> 32 steps change the
         # period by ~20, so a 32-step cap must raise, not return; both
@@ -953,3 +963,78 @@ class TestCircleMeans:
     def test_on_spectrum(self, z):
         with pytest.raises(OnSpectrum):
             circle_means(z)
+
+
+def two_abs_margin_grid(points, N, chunk=512):
+    """The margin loop that took |w| once per block: ``parity_blocks`` per
+    batch of 512 points (both w and wbar) and each block's sigma_min on its
+    own, kept verbatim as the bitwise reference of ``margin_grid``."""
+
+    def block_sigma_min(d, w, wbar, hermitian):
+        if hermitian:
+            return np.abs(np.abs(d.real) - np.abs(w))
+        aw, av = np.abs(w) ** 2, np.abs(wbar) ** 2
+        disc = np.hypot(aw - av, 2.0 * np.abs(np.conj(d) * w + d * np.conj(wbar)))
+        smax = np.sqrt(0.5 * (2.0 * np.abs(d) ** 2 + aw + av + disc))
+        det = np.abs(d * d - w * wbar)
+        return np.divide(det, smax, out=np.zeros_like(det), where=smax > 0)
+
+    pts = np.asarray(points, dtype=complex)
+    hermitian = np.all(pts.imag == 0.0)
+    th = fft_angles(N)
+    out = np.empty(len(pts))
+    for lo in range(0, len(pts), chunk):
+        hi = lo + chunk
+        dp, dm, w, wbar = parity_blocks(pts[lo:hi], th)
+        sv = [block_sigma_min(d, w, wbar, hermitian).min(axis=1) for d in (dp, dm)]
+        out[lo:hi] = np.minimum(*sv)
+    return out
+
+
+def with_special_rows(pts):
+    """Every fifth row from the second on gets z1 = 0, z2 = 0, z0 = z3 or
+    z0 = -z3 in turn."""
+    pts = np.array(pts)
+    pts[1::20, 1] = 0.0
+    pts[6::20, 2] = 0.0
+    pts[11::20, 3] = pts[11::20, 0]
+    pts[16::20, 3] = -pts[16::20, 0]
+    return pts
+
+
+class TestMarginGridBitwise:
+    """margin_grid takes |w| once per batch of MARGIN_CHUNK and forms no wbar
+    for real points; the arithmetic is that of the reference loop, so the
+    bits are too."""
+
+    @staticmethod
+    def assert_bitwise(pts, N):
+        got, ref = margin_grid(pts, N), two_abs_margin_grid(pts, N)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("N", [2, 3, 32, 256])
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 10_000])
+    def test_real_batches(self, rng, n, N):
+        pts = with_special_rows(rng.uniform(-2.0, 2.0, (n, 4)))
+        self.assert_bitwise(pts.astype(complex), N)
+
+    def test_criterion_1_points(self):
+        # the points and truncation size of acceptance criterion 1 at seed 1
+        pts = np.random.default_rng([1, 1]).uniform(-2.0, 2.0, size=(10_000, 4))
+        self.assert_bitwise(pts.astype(complex), 256)
+
+    @pytest.mark.parametrize("N", [2, 3, 32, 256])
+    def test_complex_batch(self, rng, N):
+        pts = rng.uniform(-2, 2, (300, 4)) + 1j * rng.uniform(-1, 1, (300, 4))
+        pts = np.concatenate([with_special_rows(pts), split_test_points(rng, 10)])
+        self.assert_bitwise(pts, N)
+
+    @pytest.mark.parametrize("N", [3, 32])
+    def test_one_complex_point_takes_the_complex_branch(self, rng, N):
+        pts = with_special_rows(rng.uniform(-2.0, 2.0, (300, 4))).astype(complex)
+        pts[200, 2] += 1e-3j
+        self.assert_bitwise(pts, N)
+        # the real points of that batch get the 2x2 closed form, which is
+        # not bitwise the Hermitian one
+        real = np.delete(pts, 200, axis=0)
+        assert not np.array_equal(margin_grid(pts, N)[:200], margin_grid(real, N)[:200])

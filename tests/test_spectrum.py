@@ -3,9 +3,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from dinfh.errors import DegeneratePencil, InvalidPlane
+from dinfh.errors import DegeneratePencil, GridTooLarge, InvalidPlane
 from dinfh.spectrum import (
     DEGENERATE_CUTOFF,
+    MAX_RASTER_POINTS,
     MembershipResult,
     PencilPoint,
     RasterPlane,
@@ -236,6 +237,15 @@ class TestRaster:
     def test_invalid_plane(self):
         with pytest.raises(InvalidPlane):
             RasterPlane(axes=(1, 1), fixed=PencilPoint())
+
+    @pytest.mark.parametrize(
+        "n_u, n_v", [(MAX_RASTER_POINTS + 1, 2), (1025, 1024), (10**6, 10**6)]
+    )
+    def test_point_cap_before_the_grid(self, monkeypatch, n_u, n_v):
+        monkeypatch.setattr(np, "linspace", None)  # any allocation fails
+        plane = RasterPlane(axes=(0, 1), fixed=PencilPoint(0, 0, 1, 0))
+        with pytest.raises(GridTooLarge, match=f"raster of {n_u} x {n_v} points"):
+            slice_raster(plane, (n_u, n_v, (-1, 1), (-1, 1)))
 
     def test_csv_header(self):
         plane = RasterPlane(axes=(0, 1), fixed=PencilPoint(0, 0, 1, 0))

@@ -5,14 +5,18 @@ import pytest
 
 from dinfh import loops, oracle, traces
 from dinfh.errors import (
+    GridTooLarge,
     LoopHitsSpectrum,
     NonConvergent,
     NotDegenerate,
     OnSpectrum,
 )
 from dinfh.group import FunctionalKind
+from dinfh.oracle import MAX_STEPS, WORDS
 from dinfh.spectrum import as_point, membership_grid
 from dinfh.traces import (
+    MAX_NODES,
+    QUAD_TARGET,
     QUANTA,
     PeriodReport,
     TraceRequest,
@@ -200,6 +204,69 @@ class TestQuadrature:
             TraceRequest(P, "tr", "e", 15)
 
 
+# nearest root x = 1 + 1.5e-4: the trapezoid rule settles only at 4096 nodes
+SLOW = (math.sqrt(4.0 + 6e-4), 1.0, 1.0, 0.0)
+
+
+def count_word_integrands(monkeypatch):
+    """Record the grid size of every oracle.word_integrands call."""
+    sizes = []
+    original = oracle.word_integrands
+
+    def counting(Z, functional, thetas):
+        sizes.append(len(thetas))
+        return original(Z, functional, thetas)
+
+    monkeypatch.setattr(oracle, "word_integrands", counting)
+    return sizes
+
+
+class TestTraceCoefficients:
+    @pytest.mark.parametrize("formula", ["symbol", "tabulated"])
+    @pytest.mark.parametrize("functional", [TR, PHI])
+    @pytest.mark.parametrize(
+        "z",
+        [P, Q, (1.0, 0.5, 0.0, 1.0), SLOW, (1 + 0.5j, 0.7, -0.3j, 0.2)],
+        ids=["p", "q", "degenerate", "slow", "complex"],
+    )
+    def test_match_each_words_own_quadrature(self, z, functional, formula):
+        # the coupled stop refines every word at least as far as its own
+        coeff = trace_coefficients(z, functional, 16, formula)
+        for word, c in zip(WORDS, coeff):
+            own = trace_quadrature(TraceRequest(z, functional, word, 16), formula)
+            assert abs(c - own) <= QUAD_TARGET
+
+    def test_one_word_integrands_call_per_grid(self, monkeypatch):
+        sizes = count_word_integrands(monkeypatch)
+        trace_coefficients(SLOW, TR, 16)
+        assert len(sizes) >= 4
+        assert sizes == [16 * 2**k for k in range(len(sizes))]
+
+    @pytest.mark.parametrize("formula", ["symbol", "tabulated"])
+    def test_on_spectrum_node(self, formula):
+        with pytest.raises(OnSpectrum):
+            trace_coefficients((1, 1, 0, 0), TR, 16, formula)
+
+    def test_nonconvergent_above_target_at_max_nodes(self, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(traces, "MAX_NODES", 2048)
+            with pytest.raises(NonConvergent):
+                trace_coefficients(SLOW, TR, 16)
+        exact = SLOW[0] / math.sqrt((SLOW[0] ** 2 - 2.0) ** 2 - 4.0)
+        assert trace_coefficients(SLOW, TR, 16)[0] == pytest.approx(exact, abs=1e-10)
+
+    def test_first_grid_above_the_cap(self, monkeypatch):
+        sizes = count_word_integrands(monkeypatch)
+        with pytest.raises(GridTooLarge):
+            trace_coefficients(P, TR, 2 * MAX_NODES)
+        with pytest.raises(GridTooLarge):
+            trace_quadrature(TraceRequest(P, TR, "e", 2 * MAX_NODES))
+        assert sizes == []
+        # a first grid at the cap still runs
+        trace_quadrature(TraceRequest(P, TR, "e", MAX_NODES))
+        assert sizes == [MAX_NODES, 2 * MAX_NODES]
+
+
 # closed-form margin 5.0e-8, above the 1e-9 loop guard; the nearest root
 # x = 1 + 5e-8 makes the trapezoid rule need ~6e4 nodes
 NEAR = (math.sqrt(4.0 + 2e-7), 1.0, 1.0, 0.0)
@@ -348,6 +415,12 @@ class TestPeriods:
         bad = loops.circle_loop([1.0, 0, 0, 1.5], 0.5, ["z0"], name="bad")
         with pytest.raises(LoopHitsSpectrum):
             loop_period(bad, steps=64)
+
+    def test_step_cap_before_the_samples(self):
+        loop = loops.loop_L1()
+        loop.fn = None  # any sampling fails
+        with pytest.raises(GridTooLarge, match="period on L1: first grid"):
+            loop_period(loop, steps=2 * MAX_STEPS)
 
     def test_nonconvergent_at_step_cap(self, monkeypatch):
         # off the spectrum at z0 = 0 by 0.01: 16 -> 32 steps change the
