@@ -65,6 +65,10 @@ r z1, r z2 alternating off the diagonal, and a trace needs one column of
 each (``_klein_form``):
 
     Tr(P^-1 X) = N sum_{s,r} (P_{s,r}^-1 X_{s,r} e_0)_0.
+
+SciPy is imported on the first block solve only (``_gtsv``,
+``CirculantPencil.lu``), so the closed-form and symbol routes never load
+it.
 """
 
 from __future__ import annotations
@@ -73,7 +77,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import GridTooLarge, LoopHitsSpectrum, NonConvergent, OnSpectrum
 from .errors import SingularTruncation, TruncationTooLarge
@@ -99,11 +102,20 @@ _WEIGHTS = np.array([(0.25, 0.25, 0.25, 0.25), (0.0, 0.0, -0.5, -0.5)])
 # at 128 points 33 ms, on a 2-core Xeon)
 MARGIN_CHUNK = 128
 
-# LAPACK's complex tridiagonal solve (LU with partial pivoting)
-_GTSV = scipy.linalg.get_lapack_funcs("gtsv", dtype=complex)
-
 # block positions of tau (cosets e <-> tau, t <-> tau*t)
 _TAU_BLOCKS = ((0, 2), (1, 3), (2, 0), (3, 1))
+
+
+@functools.cache
+def _gtsv():
+    """LAPACK's complex tridiagonal solve (LU with partial pivoting).
+
+    SciPy is imported on the first call, so a process that solves no Klein
+    block never loads it.
+    """
+    import scipy.linalg
+
+    return scipy.linalg.get_lapack_funcs("gtsv", dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +230,8 @@ class CirculantPencil:
         stored; SingularTruncation if a pivot is below LU_PIVOT_TOL."""
         if (s, r) not in KLEIN_BLOCKS:
             raise ValueError(f"no Klein block ({s}, {r})")
+        import scipy.linalg
+
         block = klein_blocks(self.z.as_array(), self.N, ((s, r),))[0, 0]
         lu, piv = scipy.linalg.lu_factor(block)
         if np.abs(np.diagonal(lu)).min() < LU_PIVOT_TOL:
@@ -462,7 +476,7 @@ def _klein_form(Z, dZ, N: int) -> np.ndarray:
     del off
     lower = band.reshape(-1)[:-1]
     upper = lower.copy()
-    _, pivots, _, x, info = _GTSV(
+    _, pivots, _, x, info = _gtsv()(
         lower, diag.reshape(-1), upper, rhs.reshape(-1),
         overwrite_dl=True, overwrite_d=True, overwrite_du=True, overwrite_b=True,
     )

@@ -207,9 +207,17 @@ def _mean_integrands(z: PencilPoint, functional, words, n: int, formula: str) ->
 def _quadrature(z: PencilPoint, functional, words, n_nodes: int, formula: str) -> np.ndarray:
     """The words' trapezoid means, nodes doubling from ``n_nodes`` until two
     grids agree to QUAD_TARGET on every word (NonConvergent past MAX_NODES,
-    GridTooLarge before any node if ``n_nodes`` is above it)."""
+    GridTooLarge before any node if ``n_nodes`` is above it).
+
+    A point in the spectrum raises OnSpectrum before the first grid: its
+    poles can fall between the nodes, which then pass their own check
+    while the grid doubles to MAX_NODES.  The closed form (``membership_grid``
+    at its default tol) decides, as it does for ``loop_period``'s samples.
+    """
     if n_nodes > MAX_NODES:
         raise GridTooLarge(f"quadrature: first grid of {n_nodes} exceeds the cap {MAX_NODES}")
+    if membership_grid(z.as_array()[None, :])[1][0]:
+        raise OnSpectrum("quadrature: the point is in the spectrum")
     return refine(
         lambda n: _mean_integrands(z, functional, words, n, formula),
         n_nodes,
@@ -224,7 +232,8 @@ def trace_quadrature(req: TraceRequest, formula: str = "symbol") -> complex:
 
     Nodes are doubled until two consecutive grids agree to QUAD_TARGET;
     NonConvergent is raised if they still differ by more once the grid
-    reaches MAX_NODES, and GridTooLarge if the first grid is above it.
+    reaches MAX_NODES, GridTooLarge if the first grid is above it, and
+    OnSpectrum, before any node, at a point in the spectrum.
     """
     return complex(_quadrature(req.z, req.functional, (req.word,), req.n_nodes, formula)[0])
 
@@ -293,8 +302,11 @@ def closedness_residual(
     """4x4 matrix |d_i c_j - d_j c_i| of mixed-partial mismatches.
 
     Central differences in the real direction of each coordinate; all
-    stencil points must stay off-spectrum.
+    stencil points must stay off-spectrum.  ValueError unless ``step`` is
+    positive and finite.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, not {step!r}")
     z = as_point(z).as_array()
 
     def coeffs(zi):

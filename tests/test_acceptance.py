@@ -66,13 +66,13 @@ def test_criterion_6_solves_each_oracle_grid_once(monkeypatch):
     # one stacked gtsv per grid gives both functionals: L1 and L2 at 512
     # and 1024 steps
     calls = []
-    gtsv = oracle._GTSV
+    gtsv = oracle._gtsv()
 
     def counted(*arrays, **kw):
         calls.append(len(arrays[1]))
         return gtsv(*arrays, **kw)
 
-    monkeypatch.setattr(oracle, "_GTSV", counted)
+    monkeypatch.setattr(oracle, "_gtsv", lambda: counted)
     assert criterion_6(RunConfig()).passed
     assert calls == [4 * 32 * steps for _ in range(2) for steps in (512, 1024)]
 

@@ -276,8 +276,23 @@ class TestUsageErrors:
                 ["slice", "--axes", "z0", "z1", "--fixed", "0", "0", "--grid", "0", "0"],
                 "raster grid must be at least 2x2",
             ),
+            (
+                ["mc-check", "--z", "1", "8", "4", "2", "--step=0"],
+                "step must be positive and finite, not 0.0",
+            ),
+            (
+                ["mc-check", "--z", "1", "8", "4", "2", "--step=-1e-5"],
+                "step must be positive and finite, not -1e-05",
+            ),
+            (
+                ["mc-check", "--z", "1", "8", "4", "2", "--step=nan"],
+                "step must be positive and finite, not nan",
+            ),
         ],
-        ids=["tree-level", "trace-N", "trace-nodes", "period-steps", "slice-grid"],
+        ids=[
+            "tree-level", "trace-N", "trace-nodes", "period-steps", "slice-grid",
+            "mc-check-step-zero", "mc-check-step-negative", "mc-check-step-nan",
+        ],
     )
     def test_invalid_value_exits_1(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -384,6 +399,24 @@ class TestThreadCap:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "1"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_scipy_loads_at_the_first_block_solve_under_the_cap(self):
+        # dinfh sets the BLAS variables before numpy loads; SciPy, imported
+        # only when a Klein block is solved, must still find them
+        proc = run_fresh_python(
+            "import os, sys, dinfh.cli\n"
+            "from dinfh import oracle, selfsim\n"
+            "argv = ['membership', '--z', '1', '8', '4', '2', '--out', os.devnull]\n"
+            "assert dinfh.cli.main(argv) == 0\n"
+            "selfsim.pencil_level_eigs(1.0, 1.0, 0.5, 4)\n"
+            "print('scipy' in sys.modules)\n"
+            "oracle.oracle_trace((1.0, 8.0, 4.0, 2.0), 'e', 16)\n"
+            "print('scipy.linalg' in sys.modules, len(os.listdir('/proc/self/task')))\n",
+            "1",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True", "1"]
 
     @pytest.mark.parametrize("value", ["0", "-2", "two"])
     def test_invalid_cap_rejected(self, value):

@@ -801,13 +801,13 @@ class TestOraclePeriods:
         # 128 and 256 steps: one gtsv per grid for both functionals, on all
         # 4 S Klein blocks of its S samples end to end, solved in place
         calls = []
-        gtsv = oracle._GTSV
+        gtsv = oracle._gtsv()
 
         def counted(*arrays, **kw):
             calls.append((tuple(a.shape for a in arrays), kw))
             return gtsv(*arrays, **kw)
 
-        monkeypatch.setattr(oracle, "_GTSV", counted)
+        monkeypatch.setattr(oracle, "_gtsv", lambda: counted)
         N = 16
         assert set(oracle_period(loop, N=N, steps=128)) == set(FunctionalKind)
         assert len(calls) == 2

@@ -181,9 +181,10 @@ class TestQuadrature:
             trace_quadrature(TraceRequest((1, 1, 0, 0), "tr", "e", 16))
 
     def test_nonconvergent_near_spectrum(self):
-        # root at x = 1 + 5e-11: the integrand is analytic but with a
-        # singularity so close to the node set that 2^14 nodes cannot settle
-        z0 = math.sqrt(4.0 + 2e-10)
+        # root at x = 1 + 2e-9, just outside the closed form's 1e-9 band: the
+        # integrand is analytic but with a singularity so close to the node
+        # set that 2^14 nodes cannot settle
+        z0 = math.sqrt(4.0 + 4e-9)
         with pytest.raises(NonConvergent):
             trace_quadrature(TraceRequest((z0, 1.0, 1.0, 0.0), "tr", "e", 16))
 
@@ -265,6 +266,27 @@ class TestTraceCoefficients:
         # a first grid at the cap still runs
         trace_quadrature(TraceRequest(P, TR, "e", MAX_NODES))
         assert sizes == [MAX_NODES, 2 * MAX_NODES]
+
+    @pytest.mark.parametrize("formula", ["symbol", "tabulated"])
+    @pytest.mark.parametrize(
+        "z",
+        # poles between the nodes (margin 0), and a root at x = 1 + 5e-11,
+        # inside the closed form's 1e-9 band
+        [(0.3, 1.1, -0.7, 0.2), (math.sqrt(4.0 + 2e-10), 1.0, 1.0, 0.0)],
+        ids=["between-nodes", "inside-band"],
+    )
+    def test_point_in_the_spectrum_raises_before_any_grid(self, monkeypatch, z, formula):
+        # no node grid is evaluated: at the first point the nodes miss the
+        # poles, so the grids would double to MAX_NODES
+        assert membership_grid(np.array([z], dtype=complex))[1][0]
+        grids = []
+        monkeypatch.setattr(traces, "_mean_integrands", lambda *a: grids.append(a))
+        for functional in (TR, PHI):
+            with pytest.raises(OnSpectrum):
+                trace_coefficients(z, functional, 256, formula)
+            with pytest.raises(OnSpectrum):
+                trace_quadrature(TraceRequest(z, functional, "a", 256), formula)
+        assert grids == []
 
 
 # closed-form margin 5.0e-8, above the 1e-9 loop guard; the nearest root
