@@ -346,12 +346,9 @@ def criterion_9(config: RunConfig) -> CriterionResult:
     """Weak-equivalence witness: eigenvalue containment and coverage."""
     t0 = time.perf_counter()
     rng = _rng(config, 9)
-    violations = 0
-    for _ in range(50):
-        z1, z2, z3 = rng.uniform(-2, 2, 3)
-        for level in (2, 3, 4):
-            out = selfsim.validate_eigs_in_spectrum(z1, z2, z3, level, tol=1e-8)
-            violations += len(out["violations"])
+    # 50 points (z1, z2, z3), each level's eigenvalues of all 50 at once
+    coeffs = rng.uniform(-2, 2, (50, 3))
+    violations = sum(selfsim.count_violations(coeffs, level, tol=1e-8) for level in (2, 3, 4))
     gaps = [selfsim.coverage_gap(1.0, 1.0, 0.5, n) for n in (2, 3, 4, 5)]
     decreasing = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
     t_eig = time.perf_counter()

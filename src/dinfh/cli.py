@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -31,7 +32,17 @@ from .spectrum import (
 )
 
 
+# a negative RE or RE,IM literal is a value, not an option: argparse's own
+# pattern takes -1 and -0.5 but reads -1e-5, -.5 and -1,0 as flags
+_REAL = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+_NEGATIVE_NUMBER = re.compile(rf"^-{_REAL}(,[-+]?{_REAL})?$")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # usage problems exit 1; verification failures exit 2
     def error(self, message):
         self.print_usage(sys.stderr)

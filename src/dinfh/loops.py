@@ -44,12 +44,16 @@ class LoopPath:
         n = self.steps if steps is None else int(steps)
         if n < 8:
             raise ValueError("a loop needs at least 8 steps")
-        s = np.arange(n + 1) / n
-        pts = np.asarray(self.fn(s), dtype=complex)
-        if pts.shape != (n + 1, 4):
-            raise ValueError("loop fn must return an (len(s), 4) array")
+        pts = self.points(np.arange(n + 1) / n)
         if np.max(np.abs(pts[0] - pts[-1])) > 1e-12:
             raise ValueError("loop is not closed")
+        return pts
+
+    def points(self, s: np.ndarray) -> np.ndarray:
+        """Points z(s) at the parameters s, shape (len(s), 4)."""
+        pts = np.asarray(self.fn(s), dtype=complex)
+        if pts.shape != (len(s), 4):
+            raise ValueError("loop fn must return an (len(s), 4) array")
         return pts
 
     def derivatives(self, steps: int | None = None) -> np.ndarray:

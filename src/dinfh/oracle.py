@@ -96,6 +96,13 @@ KLEIN_BLOCKS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 # one row per functional in FunctionalKind order (Tr, phi~)
 _WEIGHTS = np.array([(0.25, 0.25, 0.25, 0.25), (0.0, 0.0, -0.5, -0.5)])
 
+# rows of one stacked Klein-block solve: _klein_form solves max(1,
+# KLEIN_ROWS // 4N) samples per gtsv, so its bands (a few complex arrays of
+# that many rows) stay in L2 and its memory does not grow with the grid
+# (unchunked, 8192 samples at N = 1024 need 512 MiB per band; at N = 32,
+# 512 samples took 2.2 ms at 2^14 rows and 5 ms at 2^16 on a 2-core Xeon)
+KLEIN_ROWS = 2**14
+
 # points per batch of margin_grid, which bounds its (points, N) temporaries:
 # at N = 256, 128 points make w 512 KiB and |w| 256 KiB, so they stay in a
 # 2 MiB L2 cache (at 512 points criterion 1's 10,000 margins took 53 ms,
@@ -257,9 +264,12 @@ def pencil_matrix(z, N: int) -> CirculantPencil:
 # the symbol and its tau-parity split (the DFT-diagonalized truncation)
 
 
-def fft_angles(N: int) -> np.ndarray:
-    """The angles 2*pi*k/N sampled by the size-N truncation."""
-    return 2.0 * np.pi * np.arange(N) / N
+def fft_angles(N: int, nodes: np.ndarray | None = None) -> np.ndarray:
+    """The angles 2*pi*k/N sampled by the size-N truncation, at the node
+    indices k in ``nodes`` (all N by default).  Each angle depends on k and
+    N alone, so fft_angles(2N)[0::2] equals fft_angles(N) bit for bit."""
+    k = np.arange(N) if nodes is None else nodes
+    return 2.0 * np.pi * k / N
 
 
 def pencil_symbol(Z, thetas) -> np.ndarray:
@@ -448,23 +458,43 @@ def _klein_form(Z, dZ, N: int) -> np.ndarray:
     is not regular: for odd N, K has trace 1 and (0, 0) entry 0.)  Vertex
     0 heads the path, and X_{s,r} e_0 = (dz0 + s dz3 + r dz2) e_0 + r dz1 e_1.
 
-    All 4n blocks go through one LAPACK gtsv, laid end to end as one
-    tridiagonal system of size 4nN whose bands are exactly 0 between
-    consecutive blocks.  At a zero subdiagonal entry gtsv eliminates
-    nothing and interchanges no rows, and every back-substitution term
-    that reaches across it is multiplied by that exact 0, so each block
-    gets the arithmetic of its own solve.  gtsv also returns U's
-    diagonal, each block's pivots in turn; SingularTruncation is raised
-    for an exactly zero pivot (info > 0: gtsv stops there and leaves the
-    later blocks unsolved) or one below LU_PIVOT_TOL.  As in dense getrf,
-    partial pivoting keeps |L| <= 1, so a pivot u_kk leaves the first k
-    columns of the row-permuted block within |u_kk| |L e_k| <= sqrt(2)
-    |u_kk| of rank k - 1: the block's smallest singular value is below
-    sqrt(2) |u_kk|, as for a block solved alone.  All four blocks are
-    solved, as phi~ too needs all of P invertible.
+    The samples go through in chunks of max(1, KLEIN_ROWS // 4N), and the
+    4 blocks of each sample in a chunk through one LAPACK gtsv
+    (``_klein_solve``), so a solve's memory is O(KLEIN_ROWS) whatever n is.
+    Every block gets the arithmetic of its own solve, so the chunking, like
+    the stacking, leaves each sample's values bit for bit as if it were
+    solved alone.  All four blocks are solved, as phi~ too needs all of P
+    invertible.
+    """
+    Z = np.asarray(Z, dtype=complex).reshape(-1, 4)
+    dZ = np.asarray(dZ, dtype=complex).reshape(-1, 4)
+    step = max(1, KLEIN_ROWS // (4 * N))
+    y = np.concatenate(
+        [_klein_solve(Z[lo : lo + step], dZ[lo : lo + step], N) for lo in range(0, len(Z), step)]
+    )
+    # on a strided y, or one matmul for both rows, numpy takes another path,
+    # with other roundoff
+    return np.stack([y @ w for w in _WEIGHTS])
+
+
+def _klein_solve(Z, dZ, N: int) -> np.ndarray:
+    """y_{s,r} = (P_{s,r}^-1 X_{s,r} e_0)_0 for points Z and tangents dZ
+    (n, 4), of shape (n, 4) in KLEIN_BLOCKS order, from one gtsv.
+
+    All 4n blocks are laid end to end as one tridiagonal system of size
+    4nN whose bands are exactly 0 between consecutive blocks.  At a zero
+    subdiagonal entry gtsv eliminates nothing and interchanges no rows, and
+    every back-substitution term that reaches across it is multiplied by
+    that exact 0, so each block gets the arithmetic of its own solve.  gtsv
+    also returns U's diagonal, each block's pivots in turn;
+    SingularTruncation is raised for an exactly zero pivot (info > 0: gtsv
+    stops there and leaves the later blocks unsolved) or one below
+    LU_PIVOT_TOL.  As in dense getrf, partial pivoting keeps |L| <= 1, so a
+    pivot u_kk leaves the first k columns of the row-permuted block within
+    |u_kk| |L e_k| <= sqrt(2) |u_kk| of rank k - 1: the block's smallest
+    singular value is below sqrt(2) |u_kk|, as for a block solved alone.
     """
     off, diag = jacobi_blocks(Z, N)
-    dZ = np.asarray(dZ, dtype=complex).reshape(-1, 4)
     s, r = np.array(KLEIN_BLOCKS, dtype=float).T
     rhs = np.zeros(diag.shape, dtype=complex)
     rhs[..., 0] = dZ[:, 0, None] + s * dZ[:, 3, None] + r * dZ[:, 2, None]
@@ -482,10 +512,8 @@ def _klein_form(Z, dZ, N: int) -> np.ndarray:
     )
     if info > 0 or np.abs(pivots).min() < LU_PIVOT_TOL:
         raise SingularTruncation(f"pencil truncation at N={N} is numerically singular")
-    # on a strided y, or one matmul for both rows, numpy takes another path,
-    # with other roundoff
-    y = np.ascontiguousarray(x.reshape(diag.shape)[..., 0])
-    return np.stack([y @ w for w in _WEIGHTS])
+    # a copy, not a view that keeps all of x alive
+    return x.reshape(diag.shape)[..., 0].copy()
 
 
 def oracle_functional(z, word: str, functional, N: int) -> complex:
@@ -518,16 +546,37 @@ def richardson(coarse: complex, fine: complex) -> complex:
     return fine + (fine - coarse) / 3.0
 
 
-def refine(fn, n: int, target: float, n_max: int, what: str) -> tuple:
-    """Evaluate fn(n), fn(2n), ... until two consecutive grids agree.
+def refine(nodes, n: int, target: float, n_max: int, what: str, nested: bool = True) -> tuple:
+    """Trapezoid means on n, 2n, 4n, ... nodes until two consecutive grids
+    agree.
 
-    Returns (coarse, fine) at the first pair with max |fine - coarse| <=
-    ``target`` (scalars or arrays).  NonConvergent, with the history of
-    changes, is raised once a comparison at n >= ``n_max`` still misses.
+    ``nodes(m, j)`` gives the values at the node indices j of the m-node
+    grid, one per node along the last axis (a scalar or a stack per node);
+    a grid's value is their ``.mean(axis=-1)``.  The first grid asks for
+    all n nodes.  Each doubling to m nodes keeps the node values of the
+    last grid, whose node k is node 2k of the new one, asks only for the
+    odd nodes j = 1, 3, ..., m - 1 and interleaves the two sets, so a grid
+    of m nodes costs m/2 new ones.  When ``nodes`` gives each node the same
+    bits whatever else j holds, every mean is bit for bit the one of the
+    whole grid evaluated at once.  ``nested=False`` asks for all nodes of
+    every grid, for values that change with the grid (such as spectral
+    derivatives).
+
+    Returns the (coarse, fine) means at the first pair with max |fine -
+    coarse| <= ``target``.  NonConvergent, with the history of changes, is
+    raised once a comparison at n >= ``n_max`` still misses.
     """
-    coarse, history = None, []
+    coarse, history, values = None, [], None
     while True:
-        fine = fn(n)
+        if values is None or not nested:
+            values = nodes(n, np.arange(n))
+        else:
+            odd = nodes(n, np.arange(1, n, 2))
+            grid = np.empty(odd.shape[:-1] + (n,), dtype=odd.dtype)
+            grid[..., 0::2] = values
+            grid[..., 1::2] = odd
+            values = grid
+        fine = values.mean(axis=-1)
         if coarse is not None:
             change = float(np.max(np.abs(fine - coarse)))
             if change <= target:
@@ -546,27 +595,37 @@ def trapezoid_periods(loop: LoopPath, steps: int | None, guard, form, what: str)
 
     The driver of both period routes; each passes in its own ``guard`` and
     1-form.  On a grid of n steps (first ``steps``, default loop.steps),
-    ``guard(Z)`` gives the spectrum margins of the samples Z (n, 4), and
+    ``guard(Z)`` gives the spectrum margins of samples Z (m, 4), and
     LoopHitsSpectrum is raised at one <= 1e-9; ``form(Z, dZ)``, with dZ =
-    z'(s), gives the 1-forms of shape (2, n) in FunctionalKind order, and
+    z'(s), gives the 1-forms of shape (2, m) in FunctionalKind order, and
     their periodic trapezoid means are the grid's two periods.  Steps
     double through ``refine`` until both periods agree to PERIOD_TARGET
     (NonConvergent if either still misses at MAX_STEPS), then one
     Richardson step.  A first grid above MAX_STEPS raises GridTooLarge
     before any sample is taken.
+
+    The first grid is sampled whole (``loop.samples``, with its checks);
+    each doubling samples, guards and evaluates only its new odd steps, as
+    the samples and an analytic z' at s = j/n depend on j/n alone.  A loop
+    without ``dfn`` differentiates its samples spectrally, which changes
+    z' at every sample with n, so its grids are evaluated whole.
     """
     n = loop.steps if steps is None else int(steps)
     if n > MAX_STEPS:
         raise GridTooLarge(f"{what}: first grid of {n} exceeds the cap {MAX_STEPS}")
 
-    def value_at(nsteps: int) -> np.ndarray:
-        Z = loop.samples(nsteps)[:-1]
+    def forms(nsteps: int, j: np.ndarray) -> np.ndarray:
+        if len(j) == nsteps:
+            Z, dZ = loop.samples(nsteps)[:-1], loop.derivatives(nsteps)
+        else:
+            s = j / nsteps
+            Z, dZ = loop.points(s), np.asarray(loop.dfn(s), dtype=complex)
         margin = guard(Z).min()
         if margin <= 1e-9:
             raise LoopHitsSpectrum(f"{what}: sample margin {margin:.3e}")
-        return form(Z, loop.derivatives(nsteps)).mean(axis=-1)
+        return form(Z, dZ)
 
-    coarse, fine = refine(value_at, n, PERIOD_TARGET, MAX_STEPS, what)
+    coarse, fine = refine(forms, n, PERIOD_TARGET, MAX_STEPS, what, loop.dfn is not None)
     # in Python complex arithmetic: numpy's complex divide rounds otherwise
     return {
         kind: richardson(complex(c), complex(f))
@@ -584,8 +643,9 @@ def oracle_period(loop: LoopPath, N: int = 32, steps: int | None = None) -> dict
     The ``trapezoid_periods`` of the oracle 1-forms.  The pencil is linear
     in z, P(z) = sum_w z_w W_w, so on a tangent dz each 1-form is its
     functional on P^-1 P(dz), which ``_klein_form`` takes for both
-    functionals from one stacked tridiagonal solve of every Klein block of
-    a grid's samples.  The samples are guarded by the symbol margin
+    functionals from stacked tridiagonal solves of the Klein blocks of a
+    grid's new samples: each grid solves only the samples that the last
+    one lacks, no sample twice.  The samples are guarded by the symbol margin
     (``margin_grid``).  A phase unwrap of det P would need no comparison
     but aliases: the phase turns 64 times around L1 at N = 32, so coarse
     samples can pass the unwrap check with a wrong integer.

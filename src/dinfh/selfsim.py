@@ -289,6 +289,16 @@ def level_matrix(g: GroupElement, n: int) -> LevelMatrix:
     return LevelMatrix(n=n, perm_vector=_DEFAULT_ACTION.level_matrix(g, n))
 
 
+def _fill_blocks(blocks: np.ndarray, rows: np.ndarray, coeffs) -> None:
+    """Add the pencil's coefficients to orbit blocks (..., p, s, s) of the
+    patterns ``rows`` (p, 3, s) from ``TreeAction.orbit_blocks``: coeffs[g]
+    at (rows[j, g, c], c) of block j for each generator g (a, t, tau), a
+    scalar or an array broadcast against (..., p, s)."""
+    k, cols = np.ogrid[: rows.shape[0], : rows.shape[2]]
+    for g, coeff in enumerate(coeffs):
+        blocks[..., k, rows[:, g], cols] += coeff
+
+
 def pencil_level_eigs(z1: float, z2: float, z3: float, n: int) -> np.ndarray:
     """Sorted eigenvalues (with multiplicity) of the level-n pencil
     z1*M(a) + z2*M(t) + z3*M(tau), solved once per distinct orbit block."""
@@ -297,9 +307,7 @@ def pencil_level_eigs(z1: float, z2: float, z3: float, n: int) -> np.ndarray:
     for rows, counts in _DEFAULT_ACTION.orbit_blocks(n):
         p, _, s = rows.shape
         blocks = np.zeros((p, s, s))
-        k, cols = np.ogrid[:p, :s]
-        for g, coeff in enumerate((z1, z2, z3)):
-            blocks[k, rows[:, g], cols] += coeff
+        _fill_blocks(blocks, rows, (z1, z2, z3))
         eigs.append(np.repeat(np.linalg.eigvalsh(blocks), counts, axis=0).ravel())
     return np.sort(np.concatenate(eigs))
 
@@ -330,6 +338,33 @@ def validate_eigs_in_spectrum(
         for lam, m in zip(eigs[~inside], margin[~inside])
     ]
     return {"violations": violations, "max_margin": float(margin.max())}
+
+
+def count_violations(coeffs, n: int, tol: float = 1e-8) -> int:
+    """Level-n eigenvalues, with multiplicity, outside the closed-form
+    spectrum, summed over the pencils with coefficient rows (z1, z2, z3)
+    in ``coeffs`` (m, 3).
+
+    The count of ``validate_eigs_in_spectrum``'s violations over the m
+    pencils, from one stacked ``eigvalsh`` and one ``membership_grid`` call
+    per block size (one size at levels 1-6), on the distinct blocks'
+    eigenvalues, each weighted by its block's orbit count.
+    """
+    _check_level(n)
+    coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 3)
+    misses = 0
+    for rows, counts in _DEFAULT_ACTION.orbit_blocks(n):
+        p, _, s = rows.shape
+        blocks = np.zeros((len(coeffs), p, s, s))
+        _fill_blocks(blocks, rows, coeffs.T[:, :, None, None])
+        # each point's blocks solved as on their own
+        eigs = np.linalg.eigvalsh(blocks)
+        points = np.empty(eigs.shape + (4,), dtype=complex)
+        points[..., 0] = -eigs
+        points[..., 1:] = coeffs[:, None, None]
+        inside = membership_grid(points.reshape(-1, 4), tol)[1].reshape(eigs.shape)
+        misses += int(((~inside).sum(axis=2) * counts).sum())
+    return misses
 
 
 def spectrum_slice_intervals(z1: float, z2: float, z3: float):

@@ -12,7 +12,10 @@ is the independent route that the closed forms are checked against, and
 the only route for the tabulated integrands.  Both run one refinement: each
 node grid evaluates all requested words in one pass, and nodes double
 until every word agrees to QUAD_TARGET (a coupled stop, so the four
-coefficients cost one quadrature, not four).  The integrands:
+coefficients cost one quadrature, not four).  A doubled grid evaluates
+only its new angles and keeps the integrand values of the last grid
+(``oracle.refine``), as do the loop periods' step grids, so no node is
+evaluated twice.  The integrands:
 
 * ``formula="symbol"`` (default): the pointwise symbol route from
   :mod:`dinfh.oracle` - closed-form rational functions of G^+- from the
@@ -178,14 +181,14 @@ def integrand_phitr(z, word: str, theta):
     return val if np.ndim(theta) else complex(val)
 
 
-def _mean_integrands(z: PencilPoint, functional, words, n: int, formula: str) -> np.ndarray:
-    """Means of the words' integrands on one n-node grid, in ``words`` order.
+def _integrands(z: PencilPoint, functional, words, thetas, formula: str) -> np.ndarray:
+    """The words' integrands at the angles ``thetas``, shape (len(words),
+    len(thetas)).
 
-    One pass per grid: the symbol route takes every word from one
+    One pass per call: the symbol route takes every word from one
     ``oracle.word_integrands`` call, the tabulated one calls its per-word
-    integrands here.
+    integrands here.  Each value depends on its own angle alone.
     """
-    thetas = fft_angles(n)
     _, _, _, gm, gp = _parts(z, thetas)
     _require_offspectrum(z, (gm, gp), "trace_quadrature")
     if formula == "symbol":
@@ -201,13 +204,14 @@ def _mean_integrands(z: PencilPoint, functional, words, n: int, formula: str) ->
         vals = [integrand(z, w, thetas) for w in words]
     else:
         raise ValueError(f"unknown formula {formula!r}")
-    return np.array([np.mean(v) for v in vals], dtype=complex)
+    return np.array(vals, dtype=complex)
 
 
 def _quadrature(z: PencilPoint, functional, words, n_nodes: int, formula: str) -> np.ndarray:
     """The words' trapezoid means, nodes doubling from ``n_nodes`` until two
     grids agree to QUAD_TARGET on every word (NonConvergent past MAX_NODES,
-    GridTooLarge before any node if ``n_nodes`` is above it).
+    GridTooLarge before any node if ``n_nodes`` is above it).  Through
+    ``refine``, each doubled grid evaluates only its new angles.
 
     A point in the spectrum raises OnSpectrum before the first grid: its
     poles can fall between the nodes, which then pass their own check
@@ -219,7 +223,7 @@ def _quadrature(z: PencilPoint, functional, words, n_nodes: int, formula: str) -
     if membership_grid(z.as_array()[None, :])[1][0]:
         raise OnSpectrum("quadrature: the point is in the spectrum")
     return refine(
-        lambda n: _mean_integrands(z, functional, words, n, formula),
+        lambda n, j: _integrands(z, functional, words, fft_angles(n, j), formula),
         n_nodes,
         QUAD_TARGET,
         MAX_NODES,

@@ -63,8 +63,9 @@ def test_criterion_6_specifics(results):
 
 
 def test_criterion_6_solves_each_oracle_grid_once(monkeypatch):
-    # one stacked gtsv per grid gives both functionals: L1 and L2 at 512
-    # and 1024 steps
+    # each stacked gtsv gives both functionals for KLEIN_ROWS // 4N = 128
+    # samples: L1 and L2 solve their 512 steps, then only the 512 new ones
+    # of the 1024-step grid, 8 chunks per loop
     calls = []
     gtsv = oracle._gtsv()
 
@@ -74,7 +75,7 @@ def test_criterion_6_solves_each_oracle_grid_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "_gtsv", lambda: counted)
     assert criterion_6(RunConfig()).passed
-    assert calls == [4 * 32 * steps for _ in range(2) for steps in (512, 1024)]
+    assert calls == [4 * 32 * 128] * 16
 
 
 def test_criterion_9_specifics(results):

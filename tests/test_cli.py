@@ -33,6 +33,25 @@ class TestMembershipCommand:
         assert json.loads(out)["in_spectrum"] is True
 
 
+    @pytest.mark.parametrize(
+        "z1, z3, expected",
+        # exponent, leading-dot and RE,IM literals: values, not option flags
+        [("-1e-5", "0", -1e-5), ("-.5", "-2.5E-1", -0.5), ("-1,0", "-0,-1", -1.0)],
+    )
+    def test_negative_literals_are_values(self, capsys, z1, z3, expected):
+        code, out, err = run_cli(capsys, "membership", "--z", "1", z1, "0", z3)
+        assert code == 0, err
+        reference = main(["membership", "--z", "1", f" {z1}", "0", f" {z3}"])
+        assert reference == 0
+        assert json.loads(out) == json.loads(capsys.readouterr().out)
+
+    def test_negative_option_lookalike_is_still_an_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["membership", "--z", "1", "-x", "0", "0"])
+        assert exc.value.code == 1
+        assert "expected 4 arguments" in capsys.readouterr().err
+
+
 class TestTraceCommand:
     def test_oracle_tau(self, capsys):
         code, out, _ = run_cli(
@@ -168,6 +187,22 @@ class TestSliceCommand:
         lines = out_file.read_text().splitlines()
         assert lines[0] == "u,v,margin,in_spectrum"
         assert len(lines) == 26
+
+    def test_negative_fixed_values_and_ranges(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "slice",
+            "--axes", "z0", "z1",
+            "--fixed", "-1e-5", "-1,-2",
+            "--grid", "2", "2",
+            "--u-range", "-1e-3", "-.5",
+            "--v-range", "-2", "-1E+0",
+        )
+        assert code == 0, err
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [(float(u), float(v)) for u, v, *_ in rows] == [
+            (-1e-3, -2.0), (-1e-3, -1.0), (-0.5, -2.0), (-0.5, -1.0)
+        ]
 
 
 class TestMcCheckCommand:

@@ -652,52 +652,79 @@ class TestPathOrder:
         assert loops == {0: "J", N - 1: "J" if N % 2 == 0 else "K"}
 
 
-def scripted(values):
-    """fn(n) returning (or raising) values[i] at its i-th call; records n."""
+def dyadic_spike(m, j):
+    """1 at node s = 0, 0 at the others: the m-node mean is exactly 1/m."""
+    return (j == 0).astype(float)
+
+
+def recorded(nodes):
+    """nodes(m, j) that records each call's grid size and node indices."""
     calls = []
 
-    def fn(n):
-        calls.append(n)
-        value = values[len(calls) - 1]
-        if isinstance(value, Exception):
-            raise value
-        return value
+    def fn(m, j):
+        calls.append((m, j.tolist()))
+        return nodes(m, j)
 
     return fn, calls
 
 
+def odd(m):
+    return list(range(1, m, 2))
+
+
 class TestRefine:
     def test_returns_first_agreeing_pair(self):
-        fn, calls = scripted([1.0, 0.5, 0.4, 0.4 + 1e-9, 0.0])
-        assert refine(fn, 4, 1e-6, 1024, "toy") == (0.4, 0.4 + 1e-9)
-        assert calls == [4, 8, 16, 32]
+        # means 1/4, 1/8, 1/16, 1/32: the change 1/32 is the first <= 0.05
+        fn, calls = recorded(dyadic_spike)
+        assert refine(fn, 4, 0.05, 1024, "toy") == (1 / 16, 1 / 32)
+        # all nodes of the first grid, then only the odd nodes of each new one
+        assert calls == [(4, [0, 1, 2, 3]), (8, odd(8)), (16, odd(16)), (32, odd(32))]
+
+    def test_each_mean_is_the_whole_grids_mean(self):
+        # s itself at every node: the interleaved grid is arange(m) / m
+        means = []
+
+        def fn(m, j):
+            means.append(m)
+            return j / m
+
+        coarse, fine = refine(fn, 8, 0.1, 1024, "toy")
+        for m, mean in zip(means[-2:], (coarse, fine)):
+            assert mean == (np.arange(m) / m).mean()
 
     def test_arrays_compare_by_largest_change(self):
-        first, second = np.array([0.0, 1.0]), np.array([1e-9, 1.0 - 1e-3])
-        fn, calls = scripted([first, second, second + 1e-9])
-        coarse, fine = refine(fn, 8, 1e-6, 1024, "toy")
-        assert coarse is second
-        assert calls == [8, 16, 32]
+        # row 0 settles at once, row 1 is the spike: 1/8 -> 1/16 is a change
+        # of 1/16, the first below 0.1
+        def fn(m, j):
+            return np.stack([np.ones(len(j)), dyadic_spike(m, j)])
+
+        coarse, fine = refine(fn, 4, 0.1, 1024, "toy")
+        assert np.array_equal(coarse, [1.0, 1 / 8])
+        assert np.array_equal(fine, [1.0, 1 / 16])
+
+    def test_grids_not_nested_ask_for_every_node(self):
+        fn, calls = recorded(dyadic_spike)
+        assert refine(fn, 4, 0.05, 1024, "toy", nested=False) == (1 / 16, 1 / 32)
+        assert calls == [(m, list(range(m))) for m in (4, 8, 16, 32)]
 
     @pytest.mark.parametrize("n_max, last", [(16, 16), (20, 32)])
     def test_no_grid_past_the_first_comparison_at_n_max(self, n_max, last):
-        fn, calls = scripted([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        fn, calls = recorded(dyadic_spike)
         with pytest.raises(NonConvergent):
             refine(fn, 4, 1e-6, n_max, "toy")
-        assert calls[-1] == last
+        assert calls[-1][0] == last
 
     def test_nonconvergent_reports_change_history(self):
-        fn, _ = scripted([0.0, 0.5, 0.75, 0.875])
         with pytest.raises(NonConvergent) as exc:
-            refine(fn, 4, 1e-6, 16, "toy")
+            refine(dyadic_spike, 4, 1e-6, 16, "toy")
         assert str(exc.value) == (
-            "toy not settled to 1e-06: changes 5.000e-01 at 8, 2.500e-01 at 16"
+            "toy not settled to 1e-06: changes 1.250e-01 at 8, 6.250e-02 at 16"
         )
 
     def test_first_grid_at_n_max_is_still_compared(self):
-        fn, calls = scripted([1.0, 1.0])
+        fn, calls = recorded(lambda m, j: np.ones(len(j)))
         assert refine(fn, 64, 1e-6, 16, "toy") == (1.0, 1.0)
-        assert calls == [64, 128]
+        assert calls == [(64, list(range(64))), (128, odd(128))]
 
 
 class TestSymbol:
@@ -792,14 +819,16 @@ class TestOraclePeriods:
         assert abs(val - reference_canonical_period(loop, 16, loop.steps)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "loop",
-        # analytic and spectral dz: either way both grids solve every sample
-        [loops.loop_L1(), loops.LoopPath(loops.loop_L1().fn)],
+        "loop, solved",
+        # 128 and 256 steps, at most KLEIN_ROWS // 4N = 256 samples per gtsv:
+        # with an analytic dz the second grid solves only its 128 new
+        # samples; spectral dz changes at every sample, so it solves all 256
+        [(loops.loop_L1(), (128, 128)), (loops.LoopPath(loops.loop_L1().fn), (128, 256))],
         ids=["analytic", "spectral"],
     )
-    def test_one_tridiagonal_solve_per_grid(self, monkeypatch, loop):
-        # 128 and 256 steps: one gtsv per grid for both functionals, on all
-        # 4 S Klein blocks of its S samples end to end, solved in place
+    def test_one_tridiagonal_solve_per_grid(self, monkeypatch, loop, solved):
+        # one gtsv per grid for both functionals, on all 4 S Klein blocks of
+        # its S new samples end to end, solved in place
         calls = []
         gtsv = oracle._gtsv()
 
@@ -811,7 +840,7 @@ class TestOraclePeriods:
         N = 16
         assert set(oracle_period(loop, N=N, steps=128)) == set(FunctionalKind)
         assert len(calls) == 2
-        for S, (shapes, kw) in zip((128, 256), calls):
+        for S, (shapes, kw) in zip(solved, calls):
             size = 4 * S * N
             assert shapes == ((size - 1,), (size,), (size - 1,), (size,))
             flags = ("overwrite_dl", "overwrite_d", "overwrite_du", "overwrite_b")
