@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -49,12 +50,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _finite(text: str) -> float:
+    """A finite float: nan and inf name no point and no tolerance."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
+        return complex(_finite(parts[0]), 0.0)
     if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
+        return complex(_finite(parts[0]), _finite(parts[1]))
     raise argparse.ArgumentTypeError(f"bad complex literal {text!r} (use RE or RE,IM)")
 
 
@@ -150,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("membership", help="closed-form spectrum membership")
     _add_z_argument(sub)
-    sub.add_argument("--tol", type=float, default=1e-9)
+    sub.add_argument("--tol", type=_finite, default=1e-9)
     sub.add_argument("--out")
 
     sub = subs.add_parser("slice", help="membership raster on a 2-plane")
@@ -163,9 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="values of the two fixed coordinates, in axis order",
     )
     sub.add_argument("--grid", nargs=2, type=int, default=(64, 64))
-    sub.add_argument("--u-range", nargs=2, type=float, default=(-2.0, 2.0))
-    sub.add_argument("--v-range", nargs=2, type=float, default=(-2.0, 2.0))
-    sub.add_argument("--tol", type=float, default=1e-9)
+    sub.add_argument("--u-range", nargs=2, type=_finite, default=(-2.0, 2.0))
+    sub.add_argument("--v-range", nargs=2, type=_finite, default=(-2.0, 2.0))
+    sub.add_argument("--tol", type=_finite, default=1e-9)
     sub.add_argument("--out")
 
     sub = subs.add_parser("trace", help="trace of resolvent times word")
@@ -204,16 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out")
 
     sub = subs.add_parser("tree-spectrum", help="level-n pencil eigenvalues")
-    sub.add_argument("--z1", type=float, required=True)
-    sub.add_argument("--z2", type=float, required=True)
-    sub.add_argument("--z3", type=float, required=True)
+    sub.add_argument("--z1", type=_finite, required=True)
+    sub.add_argument("--z2", type=_finite, required=True)
+    sub.add_argument("--z3", type=_finite, required=True)
     sub.add_argument("--level", type=int, default=4)
     sub.add_argument("--out")
 
     sub = subs.add_parser("coverage", help="spectrum coverage gap at a level")
-    sub.add_argument("--z1", type=float, required=True)
-    sub.add_argument("--z2", type=float, required=True)
-    sub.add_argument("--z3", type=float, required=True)
+    sub.add_argument("--z1", type=_finite, required=True)
+    sub.add_argument("--z2", type=_finite, required=True)
+    sub.add_argument("--z3", type=_finite, required=True)
     sub.add_argument("--level", type=int, default=4)
     sub.add_argument("--out")
 

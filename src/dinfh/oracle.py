@@ -24,6 +24,9 @@ a reference (``pencil_matrix``, ``klein_blocks``); the tau-parity 2x2
 split is the fast path that serves the membership margins, sweeps and
 quadratures, and its exact circle means (``circle_means``, by the residue
 theorem) give the loop coefficients and the potential with no quadrature.
+For a real point |w(theta)| is monotone in cos(theta), so its margins
+(``margin_grid``) evaluate only the few grid angles that bracket the
+minimum, with the bits of a scan of all N.
 
 The oracle trace and period values come from the group structure of the
 truncation alone, neither the DFT nor the 2x2 symbol, so they stay
@@ -103,11 +106,20 @@ _WEIGHTS = np.array([(0.25, 0.25, 0.25, 0.25), (0.0, 0.0, -0.5, -0.5)])
 # 512 samples took 2.2 ms at 2^14 rows and 5 ms at 2^16 on a 2-core Xeon)
 KLEIN_ROWS = 2**14
 
-# points per batch of margin_grid, which bounds its (points, N) temporaries:
-# at N = 256, 128 points make w 512 KiB and |w| 256 KiB, so they stay in a
-# 2 MiB L2 cache (at 512 points criterion 1's 10,000 margins took 53 ms,
-# at 128 points 33 ms, on a 2-core Xeon)
+# points per batch of margin_grid's full scan, which bounds its (points, N)
+# temporaries: at N = 256, 128 points make w 512 KiB and |w| 256 KiB, so they
+# stay in a 2 MiB L2 cache (at 512 points criterion 1's 10,000 margins took
+# 53 ms, at 128 points 33 ms, on a 2-core Xeon).  The bracket of real points
+# evaluates _BRACKET_ANGLES angles per point, in batches of
+# MARGIN_CHUNK * N // _BRACKET_ANGLES points, so its temporaries are no larger.
 MARGIN_CHUNK = 128
+_BRACKET_ANGLES = 12
+# the bracket's roundoff factor C: a real row is bracketed where
+# |2 z1 z2| (1 - cos 2pi/N) > C eps (z1^2 + z2^2), so a step of |w| between
+# grid angles is hundreds of times the few ulps by which |w| and c* err (see
+# margin_grid); a larger C only sends more rows to the full scan
+_BRACKET_ROUNDOFF = 1024.0
+_EPS = float(np.finfo(float).eps)
 
 # block positions of tau (cosets e <-> tau, t <-> tau*t)
 _TAU_BLOCKS = ((0, 2), (1, 3), (2, 0), (3, 1))
@@ -404,22 +416,52 @@ def margin_grid(points: np.ndarray, N: int) -> np.ndarray:
     """Batched truncation margins for an (n, 4) array of pencil points.
 
     The truncation's singular values are those of the 2N parity blocks
-    [[z0 +- z3, w], [wbar, z0 +- z3]].  Real inputs give Hermitian blocks,
-    wbar = conj(w), with eigenvalues z0 +- z3 +- |w|: |w| is taken once per
-    batch and serves both blocks, and wbar is never formed.  Complex inputs
-    use the 2x2 closed form |det| / sigma_max, with |w|^2 and |wbar|^2 taken
-    once per batch.  Points go through in batches of MARGIN_CHUNK, small
-    enough that the (batch, N) temporaries stay in cache.
+    [[z0 +- z3, w], [wbar, z0 +- z3]] at the angles 2 pi k / N.  Complex
+    inputs use the 2x2 closed form |det| / sigma_max, with |w|^2 and
+    |wbar|^2 taken once per batch, and scan every angle.
+
+    Real inputs give Hermitian blocks, wbar = conj(w), with eigenvalues
+    z0 +- z3 +- |w|, so a block's margin is min_k |a - |w_k||, a = |z0 +- z3|.
+    As |w(theta)|^2 = z1^2 + z2^2 + 2 z1 z2 cos(theta) is monotone in cos,
+    |a - |w|| falls and then rises along the ascending grid cosines
+    cos(2 pi k / N), k <= N/2, towards c* = (a^2 - z1^2 - z2^2) / (2 z1 z2)
+    and away from it.  The bracket finds the position k with cos_{k-1} <
+    c* <= cos_k (one ``searchsorted``) and evaluates |w|, with the full
+    scan's arithmetic, only at positions k - 1, k and k + 1 and at the
+    mirror angles N - k of all three, which round differently: at most 6
+    angles per block, 12 per point.
+
+    The minimum is bit for bit the full scan's.  The computed |w| err by a
+    few ulps of |z1| + |z2|, c* by a small part of the least step between
+    grid cosines, 1 - cos(2 pi/N), and consecutive grid values of |w|
+    differ by at least |2 z1 z2| (1 - cos 2 pi/N) / (2 (|z1| + |z2|)).  So
+    the exact |w| of every angle outside the bracket is at least that step
+    farther from a than the one of the bracket's angle on its side of c*
+    (or than one within that small part of c*).  Where the step is well
+    above the roundoff, the computed |w| keep that order, and since rounding
+    is monotone, no computed |a - |w|| outside the bracket is smaller than
+    the bracket's least.  The step counts as well above the roundoff where
+    |2 z1 z2| (1 - cos 2 pi/N) > _BRACKET_ROUNDOFF eps (z1^2 + z2^2); the
+    other rows, among them z1 z2 = 0, and every row whose c* is not finite
+    (a NaN or inf coordinate, or an overflow), get the full scan.
+
+    Real inputs take |w| once per batch for both blocks and never form
+    wbar.  The full scan goes through in batches of MARGIN_CHUNK points and
+    the bracket in batches whose (points, 12) arrays are no larger than a
+    (MARGIN_CHUNK, N) one.  ValueError unless N >= 1.
     """
+    if N < 1:
+        raise ValueError(f"truncation size N={N} must be at least 1")
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ValueError("points must have shape (n, 4)")
     hermitian = np.all(pts.imag == 0.0)
     up = np.exp(1j * fft_angles(N))
     out = np.empty(len(pts))
-    for lo in range(0, len(pts), MARGIN_CHUNK):
-        hi = lo + MARGIN_CHUNK
-        z0, z1, z2, z3 = (pts[lo:hi, i, None] for i in range(4))
+    scan = _bracket_margins(pts, up, out) if hermitian else np.arange(len(pts))
+    for lo in range(0, len(scan), MARGIN_CHUNK):
+        rows = scan[lo : lo + MARGIN_CHUNK]
+        z0, z1, z2, z3 = (pts[rows, i, None] for i in range(4))
         w = z1 * up + z2
         if hermitian:
             aw = np.abs(w)
@@ -430,8 +472,37 @@ def margin_grid(points: np.ndarray, N: int) -> np.ndarray:
             sv = [
                 _block_sigma_min(d, w, wbar, aw, av).min(axis=1) for d in (z0 + z3, z0 - z3)
             ]
-        out[lo:hi] = np.minimum(*sv)
+        out[rows] = np.minimum(*sv)
     return out
+
+
+def _bracket_margins(pts: np.ndarray, up: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The bracketed margins of the real points ``pts`` (see ``margin_grid``),
+    written to ``out``; returns the rows left to the full scan."""
+    N = len(up)
+    half = N // 2
+    cos = up.real[half::-1]  # cos(2 pi k / N) for k = half, ..., 1, 0: ascending
+    gap = 1.0 - np.cos(2.0 * np.pi / N)
+    left = np.zeros(len(pts), dtype=bool)
+    step = max(1, MARGIN_CHUNK * N // _BRACKET_ANGLES)
+    for lo in range(0, len(pts), step):
+        # points along the last axis, blocks (+, -) and angles before it
+        z = pts[lo : lo + step].T
+        x0, x1, x2, x3 = z.real
+        s, b = x1 * x1 + x2 * x2, 2.0 * x1 * x2
+        a = np.abs(np.stack([x0 + x3, x0 - x3]))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            c = (a * a - s) / b
+            ok = np.isfinite(c).all(axis=0) & (np.abs(b) * gap > _BRACKET_ROUNDOFF * _EPS * s)
+        left[lo : lo + step] = ~ok
+        rows = np.flatnonzero(ok)
+        a, c = a[:, rows], c[:, rows]
+        # cos[k - 1] < c* <= cos[k]: the grid indices of positions k - 1, k, k + 1
+        k = np.searchsorted(cos, c)
+        k = half - np.clip(k + np.array([-1, 0, 1])[:, None, None], 0, half)
+        w = z[1, rows] * up[np.concatenate([k, (N - k) % N])] + z[2, rows]
+        out[lo + rows] = np.abs(a - np.abs(w)).min(axis=(0, 1))
+    return np.flatnonzero(left)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +537,7 @@ def _klein_form(Z, dZ, N: int) -> np.ndarray:
     solved alone.  All four blocks are solved, as phi~ too needs all of P
     invertible.
     """
+    _check_size(N)  # before N sizes the chunks
     Z = np.asarray(Z, dtype=complex).reshape(-1, 4)
     dZ = np.asarray(dZ, dtype=complex).reshape(-1, 4)
     step = max(1, KLEIN_ROWS // (4 * N))

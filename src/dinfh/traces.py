@@ -54,7 +54,7 @@ from .group import FunctionalKind
 from .loops import LoopPath
 from .oracle import WORDS, fft_angles, refine
 from .oracle import symbol_integrand
-from .spectrum import PencilPoint, as_point, membership_grid, pencil_scale
+from .spectrum import PencilPoint, as_point, membership_grid
 
 SINGULAR_TOL = 1e-12
 NEAR_DEGENERATE_TOL = 1e-9
@@ -97,9 +97,12 @@ def _parts(z: PencilPoint, theta):
 
 
 def _require_offspectrum(z: PencilPoint, denominators, what: str) -> None:
-    floor = SINGULAR_TOL * pencil_scale(z)
+    """OnSpectrum where a denominator is within SINGULAR_TOL times the
+    ``pencil_scale`` of its point of 0.  The coordinates of z may be
+    columns of points, which broadcast against the denominators."""
+    floor = SINGULAR_TOL * np.maximum(1.0, (np.abs(np.array(list(z))) ** 2).max(axis=0))
     for d in denominators:
-        if np.min(np.abs(d)) <= floor:
+        if (np.abs(d) <= floor).any():
             raise OnSpectrum(f"{what}: integrand denominator vanishes")
 
 
@@ -181,37 +184,53 @@ def integrand_phitr(z, word: str, theta):
     return val if np.ndim(theta) else complex(val)
 
 
-def _integrands(z: PencilPoint, functional, words, thetas, formula: str) -> np.ndarray:
-    """The words' integrands at the angles ``thetas``, shape (len(words),
-    len(thetas)).
+def _points(z) -> tuple:
+    """(Z, one): one point of 4 coordinates, or a stack (m, 4) with m >= 1,
+    as an (m, 4) complex array, and whether z was one point."""
+    Z = np.asarray(z.as_array() if isinstance(z, PencilPoint) else z, dtype=complex)
+    if Z.ndim == 1:
+        return as_point(Z).as_array()[None, :], True
+    if Z.ndim != 2 or Z.shape[1] != 4 or len(Z) == 0:
+        raise ValueError(f"points must be one point or an (m, 4) stack, not shape {Z.shape}")
+    return Z, False
 
-    One pass per call: the symbol route takes every word from one
-    ``oracle.word_integrands`` call, the tabulated one calls its per-word
-    integrands here.  Each value depends on its own angle alone.
+
+def _integrands(Z: np.ndarray, functional, words, thetas, formula: str) -> np.ndarray:
+    """The words' integrands at the angles ``thetas`` for points Z (m, 4),
+    shape (m, len(words), len(thetas)).
+
+    One pass per call for the whole stack: the symbol route takes every word
+    of every point from one ``oracle.word_integrands`` call, the tabulated
+    one calls its per-word integrands here, point by point.  Each value
+    depends on its own point and angle alone.
     """
-    _, _, _, gm, gp = _parts(z, thetas)
-    _require_offspectrum(z, (gm, gp), "trace_quadrature")
+    # the four coordinates as (m, 1) columns, which _parts broadcasts
+    columns = PencilPoint(*Z.T[:, :, None])
+    _, _, _, gm, gp = _parts(columns, thetas)
+    _require_offspectrum(columns, (gm, gp), "trace_quadrature")
     if formula == "symbol":
-        rows = oracle.word_integrands(z.as_array(), functional, thetas)
-        vals = [rows[WORDS.index(w)] for w in words]
-    elif formula == "tabulated":
-        if functional is FunctionalKind.PHI_TENSOR_TRACE:
-            integrand = integrand_phitr
-        elif is_degenerate(z):
-            integrand = integrand_tr_degenerate
-        else:
-            integrand = integrand_tr
-        vals = [integrand(z, w, thetas) for w in words]
-    else:
-        raise ValueError(f"unknown formula {formula!r}")
-    return np.array(vals, dtype=complex)
+        rows = oracle.word_integrands(Z, functional, thetas)
+        return np.stack([rows[WORDS.index(w)] for w in words], axis=1)
+    if formula == "tabulated":
+        vals = []
+        for z in map(as_point, Z):
+            if functional is FunctionalKind.PHI_TENSOR_TRACE:
+                integrand = integrand_phitr
+            elif is_degenerate(z):
+                integrand = integrand_tr_degenerate
+            else:
+                integrand = integrand_tr
+            vals.append([integrand(z, w, thetas) for w in words])
+        return np.array(vals, dtype=complex)
+    raise ValueError(f"unknown formula {formula!r}")
 
 
-def _quadrature(z: PencilPoint, functional, words, n_nodes: int, formula: str) -> np.ndarray:
-    """The words' trapezoid means, nodes doubling from ``n_nodes`` until two
-    grids agree to QUAD_TARGET on every word (NonConvergent past MAX_NODES,
-    GridTooLarge before any node if ``n_nodes`` is above it).  Through
-    ``refine``, each doubled grid evaluates only its new angles.
+def _quadrature(Z: np.ndarray, functional, words, n_nodes: int, formula: str) -> np.ndarray:
+    """The words' trapezoid means at points Z (m, 4), shape (m, len(words)),
+    nodes doubling from ``n_nodes`` until two grids agree to QUAD_TARGET on
+    every word of every point (NonConvergent past MAX_NODES, GridTooLarge
+    before any node if ``n_nodes`` is above it).  Through ``refine``, each
+    doubled grid evaluates only its new angles, for the whole stack at once.
 
     A point in the spectrum raises OnSpectrum before the first grid: its
     poles can fall between the nodes, which then pass their own check
@@ -220,10 +239,10 @@ def _quadrature(z: PencilPoint, functional, words, n_nodes: int, formula: str) -
     """
     if n_nodes > MAX_NODES:
         raise GridTooLarge(f"quadrature: first grid of {n_nodes} exceeds the cap {MAX_NODES}")
-    if membership_grid(z.as_array()[None, :])[1][0]:
-        raise OnSpectrum("quadrature: the point is in the spectrum")
+    if membership_grid(Z)[1].any():
+        raise OnSpectrum("quadrature: a point is in the spectrum")
     return refine(
-        lambda n, j: _integrands(z, functional, words, fft_angles(n, j), formula),
+        lambda n, j: _integrands(Z, functional, words, fft_angles(n, j), formula),
         n_nodes,
         QUAD_TARGET,
         MAX_NODES,
@@ -239,26 +258,47 @@ def trace_quadrature(req: TraceRequest, formula: str = "symbol") -> complex:
     reaches MAX_NODES, GridTooLarge if the first grid is above it, and
     OnSpectrum, before any node, at a point in the spectrum.
     """
-    return complex(_quadrature(req.z, req.functional, (req.word,), req.n_nodes, formula)[0])
+    Z = req.z.as_array()[None, :]
+    return complex(_quadrature(Z, req.functional, (req.word,), req.n_nodes, formula)[0, 0])
 
 
 def trace_coefficients(
     z, functional, n_nodes: int = 256, formula: str = "symbol"
 ) -> np.ndarray:
-    """The four 1-form coefficients (words e, a, t, tau) at one point.
+    """The four 1-form coefficients (words e, a, t, tau) at one point,
+    shape (4,), or at every point of a stack (m, 4), shape (m, 4).
 
-    One quadrature for all four: each grid evaluates every word in one
-    pass, and the grids double until all four agree to QUAD_TARGET (the
-    coupled stop), so no word is less converged than by its own
-    ``trace_quadrature``.
+    One quadrature for all words of all points: each grid evaluates every
+    word of every point in one pass, and the grids double until all of them
+    agree to QUAD_TARGET (the coupled stop), so no word of any point is less
+    converged than by its own ``trace_quadrature``.  OnSpectrum, before any
+    grid, if a point of the stack is in the spectrum.
     """
-    # the request checks the point, the functional and the node count
-    req = TraceRequest(z, functional, WORDS[0], n_nodes)
-    return _quadrature(req.z, req.functional, WORDS, req.n_nodes, formula)
+    Z, one = _points(z)
+    # the request checks the functional and the node count
+    req = TraceRequest(Z[0], functional, WORDS[0], n_nodes)
+    coeffs = _quadrature(Z, req.functional, WORDS, req.n_nodes, formula)
+    return coeffs[0] if one else coeffs
 
 
 # ---------------------------------------------------------------------------
 # potential and closedness
+
+
+def potentials(Z) -> np.ndarray:
+    """``potential_tr`` at every point of Z (m, 4), shape (m,), from one
+    ``oracle.circle_means`` call."""
+    Z = np.asarray(Z, dtype=complex)
+    f, _, _ = oracle.circle_means(Z)
+    _, _, _, gm0, gp0 = _parts(PencilPoint(*Z.T), 0.0)
+    # the principal branch at theta = 0: G(0) of a real point gets imaginary
+    # part +0, so a negative one has Arg pi, not -pi (numpy's square can
+    # leave -0 there)
+    gm0, gp0 = gm0 + 0.0, gp0 + 0.0
+    out = np.empty(len(Z), dtype=complex)
+    out.real = 0.25 * np.log(np.abs(f)).sum(axis=0)
+    out.imag = 0.25 * (np.angle(gm0 * gp0) + np.angle(f / np.stack([gp0, gm0])).sum(axis=0))
+    return out
 
 
 def potential_tr(z) -> complex:
@@ -270,13 +310,10 @@ def potential_tr(z) -> complex:
     with |zeta| < 1, so the mean argument of each block lies within pi of
     Arg G(0) and equals Arg G(0) + Arg(f / G(0)).  The gradient of this
     potential reproduces the four canonical-trace coefficients (exactness
-    of the trace of the resolvent 1-form).
+    of the trace of the resolvent 1-form).  The one-point call of
+    ``potentials``.
     """
-    z = as_point(z)
-    f, _, _ = oracle.circle_means(z.as_array())
-    _, _, _, gm0, gp0 = _parts(z, 0.0)
-    arg = np.angle(gm0 * gp0) + np.angle(f / np.array([gp0, gm0])).sum()
-    return complex(0.25 * np.log(np.abs(f)).sum(), 0.25 * arg)
+    return complex(potentials(as_point(z).as_array()[None, :])[0])
 
 
 def central_difference(f, z, i: int, step: float):
@@ -291,9 +328,26 @@ def central_difference(f, z, i: int, step: float):
 def potential_gradient(z) -> np.ndarray:
     """Central-difference gradient (step FD_STEP) of the potential in the
     four real coordinate directions (holomorphy recovers the complex
-    derivative)."""
-    z = as_point(z).as_array()
-    return np.array([central_difference(potential_tr, z, i, FD_STEP) for i in range(4)])
+    derivative), at one point, shape (4,), or at every point of a stack
+    (m, 4), shape (m, 4).
+
+    All 8m stencil points go through one ``potentials`` call.  The
+    difference is divided by 2h on its real and imaginary parts apart, which
+    is Python's complex / float (numpy's multiplies by the reciprocal).
+    """
+    Z, one = _points(z)
+    i = np.arange(4)
+    # row i of each point's (4, 4) block moves its coordinate i
+    plus = np.repeat(Z[:, None, :], 4, axis=1)
+    minus = plus.copy()
+    plus[:, i, i] += FD_STEP
+    minus[:, i, i] -= FD_STEP
+    up, down = potentials(np.concatenate([plus, minus]).reshape(-1, 4)).reshape(2, -1, 4)
+    d = up - down
+    grad = np.empty(d.shape, dtype=complex)
+    grad.real = d.real / (2 * FD_STEP)
+    grad.imag = d.imag / (2 * FD_STEP)
+    return grad[0] if one else grad
 
 
 def closedness_residual(

@@ -303,6 +303,10 @@ class TestUsageErrors:
                 "truncation size N must be at least 2",
             ),
             (
+                ["trace", "--z", "1", "8", "4", "2", "--method", "oracle", "--N", "0"],
+                "truncation size N must be at least 2",
+            ),
+            (
                 ["trace", "--z", "1", "8", "4", "2", "--n-nodes", "15"],
                 "n_nodes must be even and at least 4",
             ),
@@ -325,7 +329,7 @@ class TestUsageErrors:
             ),
         ],
         ids=[
-            "tree-level", "trace-N", "trace-nodes", "period-steps", "slice-grid",
+            "tree-level", "trace-N", "trace-N-zero", "trace-nodes", "period-steps", "slice-grid",
             "mc-check-step-zero", "mc-check-step-negative", "mc-check-step-nan",
         ],
     )
@@ -334,6 +338,37 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert err == f"dinfh: error: {message}\n"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["membership", "--z", "nan", "1", "1", "1"],
+            ["membership", "--z", "1", "1,-inf", "1", "1"],
+            ["membership", "--z", "1", "1,nan", "1", "1"],
+            ["membership", "--z", "1", "8", "4", "2", "--tol", "inf"],
+            ["trace", "--z", "nan", "8", "4", "2"],
+            ["mc-check", "--z", "1", "8", "Infinity", "2"],
+            ["coverage", "--z1", "nan", "--z2", "1", "--z3", "0.5"],
+            ["tree-spectrum", "--z1", "1", "--z2", "1", "--z3", "inf"],
+            ["slice", "--axes", "z0", "z1", "--fixed", "1", "1", "--tol", "nan"],
+            ["slice", "--axes", "z0", "z1", "--fixed", "1", "nan"],
+            ["slice", "--axes", "z0", "z1", "--fixed", "1", "1", "--u-range", "inf", "1"],
+        ],
+        ids=[
+            "membership-z0", "membership-z1", "membership-imag", "membership-tol",
+            "trace", "mc-check", "coverage", "tree-spectrum", "slice-tol", "slice-fixed",
+            "slice-range",
+        ],
+    )
+    def test_non_finite_number_exits_1(self, capsys, argv):
+        # nan and inf name no point and no tolerance: argparse refuses them
+        # before any command runs
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert "is not a finite number" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

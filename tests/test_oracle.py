@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1067,3 +1068,102 @@ class TestMarginGridBitwise:
         # not bitwise the Hermitian one
         real = np.delete(pts, 200, axis=0)
         assert not np.array_equal(margin_grid(pts, N)[:200], margin_grid(real, N)[:200])
+
+
+def bracket_test_rows(rng, N):
+    """Real rows for the bracket of margin_grid, a few of each kind: random;
+    |z0 +- z3| equal to a grid |w| (computed with margin_grid's arithmetic)
+    or outside [min |w|, max |w|]; z1 z2 scaled by 1e-9, or by 1e-15 with
+    |z0| at a grid |w|; scaled to +-1e150; z1 z2 = 0; NaN and inf
+    coordinates."""
+    rows = [rng.uniform(-2.0, 2.0, (40, 4))]
+    up = np.exp(1j * fft_angles(N))
+    on = rng.uniform(-2.0, 2.0, (40, 4))
+    k = rng.integers(0, N, 40)
+    grid_w = np.abs(on[:, 1].astype(complex) * up[k] + on[:, 2].astype(complex))
+    # z3 = 0 (both blocks at a grid |w|), z0 = z3 (block + only), z0 = -z3
+    on[0::3, 0], on[0::3, 3] = grid_w[0::3] * np.sign(on[0::3, 0]), 0.0
+    on[1::3, 0] = on[1::3, 3] = 0.5 * grid_w[1::3]
+    on[2::3, 0], on[2::3, 3] = 0.5 * grid_w[2::3], -0.5 * grid_w[2::3]
+    rows.append(on)
+    outside = rng.uniform(-2.0, 2.0, (20, 4))
+    reach = np.abs(outside[:, 1]) + np.abs(outside[:, 2])
+    outside[:10, 0], outside[:10, 3] = 3.0 * reach[:10], 0.0
+    outside[10:, 1] = outside[10:, 2] * rng.uniform(0.5, 0.9, 10)
+    outside[10:, 0] = outside[10:, 3] = 0.01 * np.abs(outside[10:, 2] - outside[10:, 1])
+    rows.append(outside)
+    tiny = rng.uniform(-2.0, 2.0, (30, 4))
+    tiny[:10, 1] *= 1e-9
+    tiny[10:20, 2] *= -1e-9
+    # |w| flat to roundoff, with a at one of its values
+    tiny[20:, 2] *= 1e-15
+    tiny[20:, 0] = np.abs(tiny[20:, 1].astype(complex) * up[k[:10]] + tiny[20:, 2])
+    tiny[20:, 3] = 0.0
+    rows.append(tiny)
+    big = rng.uniform(-2.0, 2.0, (20, 4))
+    rows.append(big * np.where(np.arange(20) % 2 == 0, 1e150, -1e150)[:, None])
+    rows.append(with_special_rows(rng.uniform(-2.0, 2.0, (20, 4))))
+    bad = rng.uniform(-2.0, 2.0, (12, 4))
+    bad[np.arange(12), np.arange(12) % 4] = [np.nan, np.inf, -np.inf] * 4
+    rows.append(bad)
+    return np.concatenate(rows).astype(complex)
+
+
+class TestMarginBracket:
+    """The bracket of real points evaluates at most 12 angles per point and
+    must return the full scan's bits (``two_abs_margin_grid``) whatever the
+    row; rows it cannot bracket go to the full scan."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 33, 1024, 4096])
+    def test_bitwise_the_full_scan(self, rng, N):
+        pts = bracket_test_rows(rng, N)
+        got, ref = margin_grid(pts, N), two_abs_margin_grid(pts, N)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("N", [2, 256, 4096])
+    def test_gap_decides_the_full_scan(self, rng, N):
+        pts = bracket_test_rows(rng, N)
+        left = oracle._bracket_margins(pts, np.exp(1j * fft_angles(N)), np.empty(len(pts)))
+        x1, x2 = pts[:, 1].real, pts[:, 2].real
+        gap = np.abs(2.0 * x1 * x2) * (1.0 - np.cos(2.0 * np.pi / N))
+        roundoff = oracle._BRACKET_ROUNDOFF * np.finfo(float).eps * (x1 * x1 + x2 * x2)
+        # no row of these overflows c*, so the finite rows with a step above
+        # the roundoff are bracketed, and z1 z2 = 0 and NaN or inf rows are not
+        bracketed = np.isfinite(pts.real).all(axis=1) & (gap > roundoff)
+        assert np.array_equal(left, np.flatnonzero(~bracketed))
+        assert 0 < len(left) < len(pts)
+
+    def test_several_chunks_with_rows_left_to_the_full_scan(self, rng):
+        # a chunk of the bracket holds MARGIN_CHUNK * N // 12 points
+        N = 32
+        pts = rng.uniform(-2.0, 2.0, (3 * oracle.MARGIN_CHUNK * N // 12 + 5, 4)).astype(complex)
+        pts[::97, 1] = 0.0
+        got, ref = margin_grid(pts, N), two_abs_margin_grid(pts, N)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_criterion_1_allocates_no_points_by_angles_array(self):
+        n, N = 10_000, 256
+        pts = np.random.default_rng([1, 1]).uniform(-2.0, 2.0, size=(n, 4)).astype(complex)
+        tracemalloc.start()
+        try:
+            margin_grid(pts, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (n, N) float array would be 20 MB.  A chunk's complex (points,
+        # 12) arrays are each the size of one (MARGIN_CHUNK, N), 512 KiB, and
+        # peak at 2.1 MB together; unchunked they peak at 5.2 MB
+        assert peak < 3 * 2**20
+
+    @pytest.mark.parametrize("N", [0, -4])
+    def test_size_below_one_is_a_value_error(self, N):
+        with pytest.raises(ValueError, match=f"N={N}"):
+            margin_grid(np.array([P], dtype=complex), N)
+        with pytest.raises(ValueError, match=f"N={N}"):
+            membership_margin(P, N)
+
+    def test_oracle_trace_checks_the_size_before_chunking(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            oracle_trace(P, "e", 0)

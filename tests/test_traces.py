@@ -520,3 +520,154 @@ class TestIndependence:
     def test_single_loop(self):
         out = class_independence([loops.loop_L2(steps=64)])
         assert out["rank"] == 1
+
+
+# ---------------------------------------------------------------------------
+# stacked potential gradient and coefficients against the per-point code
+
+
+def per_point_potential_tr(z) -> complex:
+    """potential_tr as it was before it took stacks, kept verbatim as the
+    bitwise reference: Python complex arithmetic for G(0) at one point."""
+    z = as_point(z)
+    f, _, _ = oracle.circle_means(z.as_array())
+    _, _, _, gm0, gp0 = traces._parts(z, 0.0)
+    arg = np.angle(gm0 * gp0) + np.angle(f / np.array([gp0, gm0])).sum()
+    return complex(0.25 * np.log(np.abs(f)).sum(), 0.25 * arg)
+
+
+def per_point_potential_gradient(z) -> np.ndarray:
+    """potential_gradient as it was before it took stacks: eight
+    potential_tr calls through central_difference."""
+    z = as_point(z).as_array()
+    return np.array(
+        [traces.central_difference(per_point_potential_tr, z, i, traces.FD_STEP) for i in range(4)]
+    )
+
+
+def per_point_integrands(z, functional, words, thetas, formula):
+    """_integrands as it was before it took stacks, at one PencilPoint."""
+    _, _, _, gm, gp = traces._parts(z, thetas)
+    traces._require_offspectrum(z, (gm, gp), "trace_quadrature")
+    if formula == "symbol":
+        rows = oracle.word_integrands(z.as_array(), functional, thetas)
+        vals = [rows[WORDS.index(w)] for w in words]
+    elif formula == "tabulated":
+        if functional is FunctionalKind.PHI_TENSOR_TRACE:
+            integrand = integrand_phitr
+        elif traces.is_degenerate(z):
+            integrand = integrand_tr_degenerate
+        else:
+            integrand = integrand_tr
+        vals = [integrand(z, w, thetas) for w in words]
+    else:
+        raise ValueError(f"unknown formula {formula!r}")
+    return np.array(vals, dtype=complex)
+
+
+def per_point_trace_coefficients(z, functional, n_nodes=256, formula="symbol"):
+    """trace_coefficients as it was before it took stacks: one refine per
+    point, stopped on that point's four words alone."""
+    req = TraceRequest(z, functional, WORDS[0], n_nodes)
+    if membership_grid(req.z.as_array()[None, :])[1][0]:
+        raise OnSpectrum("quadrature: the point is in the spectrum")
+    return oracle.refine(
+        lambda n, j: per_point_integrands(
+            req.z, req.functional, WORDS, oracle.fft_angles(n, j), formula
+        ),
+        req.n_nodes,
+        QUAD_TARGET,
+        MAX_NODES,
+        "quadrature",
+    )[1]
+
+
+def criterion_3_points(seed):
+    """The 21 points of acceptance criterion 3 at ``seed``."""
+    from dinfh import acceptance
+    from dinfh.config import RunConfig
+
+    rng = acceptance._rng(RunConfig(seed=seed), 3)
+    return np.concatenate([[P], acceptance._random_resolvent_points(rng, 20, 3.0, 0.1)])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def count_integrands(monkeypatch):
+    """Record the stack size and new node count of every _integrands call."""
+    calls = []
+    original = traces._integrands
+
+    def counting(Z, functional, words, thetas, formula):
+        calls.append((len(Z), len(thetas)))
+        return original(Z, functional, words, thetas, formula)
+
+    monkeypatch.setattr(traces, "_integrands", counting)
+    return calls
+
+
+class TestStacks:
+    @pytest.mark.parametrize("seed", [1, 2, 11, "default"])
+    def test_criterion_3_points_match_the_per_point_code(self, seed):
+        from dinfh.config import DEFAULT_SEED
+
+        pts = criterion_3_points(DEFAULT_SEED if seed == "default" else seed)
+        assert same_bits(
+            potential_gradient(pts), [per_point_potential_gradient(z) for z in pts]
+        )
+        assert same_bits(
+            trace_coefficients(pts, TR), [per_point_trace_coefficients(z, TR) for z in pts]
+        )
+        assert same_bits(
+            [potential_tr(z) for z in pts], [per_point_potential_tr(z) for z in pts]
+        )
+
+    def test_criterion_3_takes_one_integrands_call_per_grid(self, monkeypatch):
+        calls = count_integrands(monkeypatch)
+        trace_coefficients(criterion_3_points(11), TR)
+        # every row settles on 256 nodes, then the 256 new ones of 512
+        assert calls == [(21, 256), (21, 256)]
+
+    def test_one_point_is_the_one_row_stack(self):
+        pts = np.array([P, (0.2, 1.5, 0.7, 0.1), (1 + 0.5j, 0.7, -0.3j, 0.2)], dtype=complex)
+        for z in pts:
+            assert same_bits(potential_gradient(z), potential_gradient(z[None, :])[0])
+            assert same_bits(trace_coefficients(z, TR), trace_coefficients(z[None, :], TR)[0])
+            assert potential_gradient(z).shape == trace_coefficients(z, PHI).shape == (4,)
+        assert same_bits(trace_coefficients(as_point(P), TR), trace_coefficients(P, TR))
+
+    @pytest.mark.parametrize("formula", ["symbol", "tabulated"])
+    def test_a_point_in_the_spectrum_raises_before_the_first_grid(self, monkeypatch, formula):
+        pts = np.insert(criterion_3_points(1), 7, (0.3, 1.1, -0.7, 0.2), axis=0)
+        calls = count_integrands(monkeypatch)
+        with pytest.raises(OnSpectrum):
+            trace_coefficients(pts, TR, 256, formula)
+        assert calls == []
+        with pytest.raises(OnSpectrum):
+            potential_gradient(np.insert(criterion_3_points(1), 7, (0, 1, 1, 2), axis=0))
+
+    @pytest.mark.parametrize("formula", ["symbol", "tabulated"])
+    def test_rows_on_different_grids_land_within_target_of_their_own(
+        self, monkeypatch, formula
+    ):
+        # P settles on 16 + 16 nodes alone, SLOW only at 4096: the coupled
+        # stop carries P on to SLOW's grid
+        pts = np.array([P, SLOW, Q])
+        calls = count_integrands(monkeypatch)
+        got = trace_coefficients(pts, TR, 16, formula)
+        assert calls == [(3, 16)] + [(3, 16 * 2**k) for k in range(len(calls) - 1)]
+        for z, row in zip(pts, got):
+            own = per_point_trace_coefficients(z, TR, 16, formula)
+            assert np.abs(row - own).max() <= QUAD_TARGET
+        # the slowest row stops where it stops alone, bit for bit
+        assert same_bits(got[1], per_point_trace_coefficients(SLOW, TR, 16, formula))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 3), (2, 2, 4)])
+    def test_other_shapes_are_rejected(self, shape):
+        with pytest.raises(ValueError, match="points must be one point or an"):
+            trace_coefficients(np.ones(shape), TR)
+        with pytest.raises(ValueError, match="points must be one point or an"):
+            potential_gradient(np.ones(shape))
