@@ -90,8 +90,12 @@ def _emit(artifact, out: str | None) -> None:
 
 
 def _numbers(value) -> bool:
-    """True for a JSON list of numbers."""
-    return isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)
+    """True for a JSON list of finite numbers: NaN, Infinity, a bool or an
+    integer past the float range is none."""
+    return isinstance(value, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+        for v in value
+    )
 
 
 def _parse_loop(text: str, steps: int | None):
@@ -114,14 +118,14 @@ def _parse_loop(text: str, steps: int | None):
         center, coords, signs = desc["center"], desc["coords"], desc.get("signs")
         if not (isinstance(center, list) and all(_numbers(p) and len(p) == 2 for p in center)):
             raise argparse.ArgumentTypeError(
-                "inline loop center must be a list of [re, im] pairs"
+                "inline loop center must be a list of finite [re, im] pairs"
             )
         if not isinstance(coords, list):
             raise argparse.ArgumentTypeError("inline loop coords must be a list")
         if not (signs is None or _numbers(signs)):
-            raise argparse.ArgumentTypeError("inline loop signs must be a list of numbers")
+            raise argparse.ArgumentTypeError("inline loop signs must be a list of finite numbers")
         if not _numbers([desc["radius"], desc.get("steps", 512)]):
-            raise argparse.ArgumentTypeError("inline loop radius and steps must be numbers")
+            raise argparse.ArgumentTypeError("inline loop radius and steps must be finite numbers")
         # a coordinate is a name or its index; a list compares without hashing
         unknown = [c for c in coords if c not in [*loops.AXIS_INDEX, *range(4)]]
         if unknown:
@@ -136,7 +140,7 @@ def _parse_loop(text: str, steps: int | None):
             steps=int(desc.get("steps", 512)),
             name=desc.get("name", "inline"),
         )
-    if steps:
+    if steps is not None:
         loop.steps = steps
     return loop
 
@@ -299,10 +303,10 @@ def _cmd_period(args) -> int:
     loop = _parse_loop(args.loop, args.steps)
     kind = FunctionalKind.coerce(args.functional)
     if args.method == "oracle":
-        value = oracle.oracle_period(loop, N=args.N, steps=args.steps)[kind]
+        value = oracle.oracle_period(loop, N=args.N)[kind]
         rep = traces.PeriodReport(value, kind, loop.name)
     else:
-        rep = traces.loop_period(loop, steps=args.steps)[kind]
+        rep = traces.loop_period(loop)[kind]
     payload = rep.to_json()
     payload["method"] = args.method
     _emit(_artifact(payload, args.seed), args.out)

@@ -2,8 +2,8 @@
 
 A loop is a piecewise-smooth closed map s in [0,1] -> C^4 whose samples all
 stay off the joint spectrum.  Period integrals use the periodic-trapezoid
-form  (1/n) sum_j c(z(s_j)) . z'(s_j),  so loops carry their derivative
-(analytic when known, spectral differentiation of the samples otherwise).
+form  (1/n) sum_j c(z(s_j)) . z'(s_j),  so every loop carries its
+derivative z'(s) in closed form (``dfn``).
 
 Two reference loops live in the z1 = z2 = 0 plane, where the spectrum
 reduces to the two hyperplanes z0 = z3 and z0 = -z3:
@@ -31,23 +31,23 @@ MIN_REL_MARGIN = 0.25
 
 @dataclass
 class LoopPath:
-    """Closed path; ``fn`` maps an array of parameters s to (len(s), 4)."""
+    """Closed path; ``fn`` and ``dfn`` map an array of parameters s to z(s)
+    and dz/ds, each of shape (len(s), 4).  ``steps`` is the first grid of
+    its periods."""
 
     fn: Callable[[np.ndarray], np.ndarray]
+    dfn: Callable[[np.ndarray], np.ndarray]
     steps: int = 512
     name: str = "loop"
-    dfn: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def samples(self, steps: int | None = None) -> np.ndarray:
-        """Points z(s_j) at s_j = j/steps, j = 0..steps (closed: first =
-        last)."""
-        n = self.steps if steps is None else int(steps)
-        if n < 8:
+    def check(self) -> None:
+        """ValueError unless the first grid has at least 8 steps and the
+        path is closed, z(1) = z(0)."""
+        if self.steps < 8:
             raise ValueError("a loop needs at least 8 steps")
-        pts = self.points(np.arange(n + 1) / n)
-        if np.max(np.abs(pts[0] - pts[-1])) > 1e-12:
+        ends = self.points(np.array([0.0, 1.0]))
+        if np.max(np.abs(ends[0] - ends[1])) > 1e-12:
             raise ValueError("loop is not closed")
-        return pts
 
     def points(self, s: np.ndarray) -> np.ndarray:
         """Points z(s) at the parameters s, shape (len(s), 4)."""
@@ -55,22 +55,6 @@ class LoopPath:
         if pts.shape != (len(s), 4):
             raise ValueError("loop fn must return an (len(s), 4) array")
         return pts
-
-    def derivatives(self, steps: int | None = None) -> np.ndarray:
-        """dz/ds at the interior grid s_j = j/steps, j = 0..steps-1.
-
-        Falls back to spectral differentiation of the periodic samples
-        when no analytic derivative was supplied.
-        """
-        n = self.steps if steps is None else int(steps)
-        s = np.arange(n) / n
-        if self.dfn is not None:
-            return np.asarray(self.dfn(s), dtype=complex)
-        pts = self.samples(n)[:-1]
-        k = np.fft.fftfreq(n, d=1.0 / n)
-        if n % 2 == 0:
-            k[n // 2] = 0.0  # drop the unpaired Nyquist mode
-        return np.fft.ifft(2j * np.pi * k[:, None] * np.fft.fft(pts, axis=0), axis=0)
 
 
 def circle_loop(
@@ -105,7 +89,7 @@ def circle_loop(
             dz[:, i] = sg * dw
         return dz
 
-    return LoopPath(fn, steps=steps, name=name, dfn=dfn)
+    return LoopPath(fn, dfn, steps, name)
 
 
 def loop_L1(steps: int = 512) -> LoopPath:

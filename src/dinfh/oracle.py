@@ -618,7 +618,7 @@ def richardson(coarse: complex, fine: complex) -> complex:
     return fine + (fine - coarse) / 3.0
 
 
-def refine(nodes, n: int, target: float, n_max: int, what: str, nested: bool = True) -> tuple:
+def refine(nodes, n: int, target: float, n_max: int, what: str) -> tuple:
     """Trapezoid means on n, 2n, 4n, ... nodes until two consecutive grids
     agree.
 
@@ -630,9 +630,7 @@ def refine(nodes, n: int, target: float, n_max: int, what: str, nested: bool = T
     odd nodes j = 1, 3, ..., m - 1 and interleaves the two sets, so a grid
     of m nodes costs m/2 new ones.  When ``nodes`` gives each node the same
     bits whatever else j holds, every mean is bit for bit the one of the
-    whole grid evaluated at once.  ``nested=False`` asks for all nodes of
-    every grid, for values that change with the grid (such as spectral
-    derivatives).
+    whole grid evaluated at once.
 
     Returns the (coarse, fine) means at the first pair with max |fine -
     coarse| <= ``target``.  NonConvergent, with the history of changes, is
@@ -640,7 +638,7 @@ def refine(nodes, n: int, target: float, n_max: int, what: str, nested: bool = T
     """
     coarse, history, values = None, [], None
     while True:
-        if values is None or not nested:
+        if values is None:
             values = nodes(n, np.arange(n))
         else:
             odd = nodes(n, np.arange(1, n, 2))
@@ -662,42 +660,37 @@ def refine(nodes, n: int, target: float, n_max: int, what: str, nested: bool = T
         n *= 2
 
 
-def trapezoid_periods(loop: LoopPath, steps: int | None, guard, form, what: str) -> dict:
+def trapezoid_periods(loop: LoopPath, guard, form, what: str) -> dict:
     """Both functionals' periods around a closed loop, keyed by FunctionalKind.
 
     The driver of both period routes; each passes in its own ``guard`` and
-    1-form.  On a grid of n steps (first ``steps``, default loop.steps),
-    ``guard(Z)`` gives the spectrum margins of samples Z (m, 4), and
-    LoopHitsSpectrum is raised at one <= 1e-9; ``form(Z, dZ)``, with dZ =
-    z'(s), gives the 1-forms of shape (2, m) in FunctionalKind order, and
-    their periodic trapezoid means are the grid's two periods.  Steps
-    double through ``refine`` until both periods agree to PERIOD_TARGET
-    (NonConvergent if either still misses at MAX_STEPS), then one
-    Richardson step.  A first grid above MAX_STEPS raises GridTooLarge
-    before any sample is taken.
+    1-form.  On a grid of n steps (first ``loop.steps``), the samples Z =
+    z(j/n) and z'(j/n) come from ``loop.fn`` and ``loop.dfn``; ``guard(Z)``
+    gives the spectrum margins of samples Z (m, 4), and LoopHitsSpectrum is
+    raised at one <= 1e-9; ``form(Z, dZ)``, with dZ = z'(s), gives the
+    1-forms of shape (2, m) in FunctionalKind order, and their periodic
+    trapezoid means are the grid's two periods.  Steps double through
+    ``refine`` until both periods agree to PERIOD_TARGET (NonConvergent if
+    either still misses at MAX_STEPS), then one Richardson step.  A first
+    grid above MAX_STEPS raises GridTooLarge, and one below 8 steps or an
+    open loop ValueError (``LoopPath.check``), before any sample is taken.
 
-    The first grid is sampled whole (``loop.samples``, with its checks);
-    each doubling samples, guards and evaluates only its new odd steps, as
-    the samples and an analytic z' at s = j/n depend on j/n alone.  A loop
-    without ``dfn`` differentiates its samples spectrally, which changes
-    z' at every sample with n, so its grids are evaluated whole.
+    As the samples and z' at s = j/n depend on j/n alone, each doubling
+    samples, guards and evaluates only its new odd steps.
     """
-    n = loop.steps if steps is None else int(steps)
-    if n > MAX_STEPS:
-        raise GridTooLarge(f"{what}: first grid of {n} exceeds the cap {MAX_STEPS}")
+    if loop.steps > MAX_STEPS:
+        raise GridTooLarge(f"{what}: first grid of {loop.steps} exceeds the cap {MAX_STEPS}")
+    loop.check()
 
     def forms(nsteps: int, j: np.ndarray) -> np.ndarray:
-        if len(j) == nsteps:
-            Z, dZ = loop.samples(nsteps)[:-1], loop.derivatives(nsteps)
-        else:
-            s = j / nsteps
-            Z, dZ = loop.points(s), np.asarray(loop.dfn(s), dtype=complex)
+        s = j / nsteps
+        Z = loop.points(s)
         margin = guard(Z).min()
         if margin <= 1e-9:
             raise LoopHitsSpectrum(f"{what}: sample margin {margin:.3e}")
-        return form(Z, dZ)
+        return form(Z, np.asarray(loop.dfn(s), dtype=complex))
 
-    coarse, fine = refine(forms, n, PERIOD_TARGET, MAX_STEPS, what, loop.dfn is not None)
+    coarse, fine = refine(forms, loop.steps, PERIOD_TARGET, MAX_STEPS, what)
     # in Python complex arithmetic: numpy's complex divide rounds otherwise
     return {
         kind: richardson(complex(c), complex(f))
@@ -709,23 +702,23 @@ def trapezoid_periods(loop: LoopPath, steps: int | None, guard, form, what: str)
 # oracle loop periods
 
 
-def oracle_period(loop: LoopPath, N: int = 32, steps: int | None = None) -> dict:
+def oracle_period(loop: LoopPath, N: int = 32) -> dict:
     """Both loop periods from the finite truncation, keyed by FunctionalKind.
 
-    The ``trapezoid_periods`` of the oracle 1-forms.  The pencil is linear
-    in z, P(z) = sum_w z_w W_w, so on a tangent dz each 1-form is its
-    functional on P^-1 P(dz), which ``_klein_form`` takes for both
-    functionals from stacked tridiagonal solves of the Klein blocks of a
-    grid's new samples: each grid solves only the samples that the last
-    one lacks, no sample twice.  The samples are guarded by the symbol margin
-    (``margin_grid``).  A phase unwrap of det P would need no comparison
-    but aliases: the phase turns 64 times around L1 at N = 32, so coarse
-    samples can pass the unwrap check with a wrong integer.
+    The ``trapezoid_periods`` of the oracle 1-forms, from a first grid of
+    ``loop.steps`` steps.  The pencil is linear in z, P(z) = sum_w z_w W_w,
+    so on a tangent dz each 1-form is its functional on P^-1 P(dz), which
+    ``_klein_form`` takes for both functionals from stacked tridiagonal
+    solves of the Klein blocks of a grid's new samples: each grid solves
+    only the samples that the last one lacks, no sample twice.  The samples
+    are guarded by the symbol margin (``margin_grid``).  A phase unwrap of
+    det P would need no comparison but aliases: the phase turns 64 times
+    around L1 at N = 32, so coarse samples can pass the unwrap check with a
+    wrong integer.
     """
     _check_size(N)  # before the loop margins allocate (samples, N) arrays
     return trapezoid_periods(
         loop,
-        steps,
         lambda Z: margin_grid(Z, N),
         lambda Z, dZ: _klein_form(Z, dZ, N),
         f"oracle period on {loop.name} at N={N}",

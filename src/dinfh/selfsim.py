@@ -274,12 +274,6 @@ class LevelMatrix:
     n: int
     perm_vector: np.ndarray
 
-    def matrix(self) -> np.ndarray:
-        size = len(self.perm_vector)
-        m = np.zeros((size, size))
-        m[self.perm_vector, np.arange(size)] = 1.0
-        return m
-
     def dump_lines(self) -> Iterable[str]:
         for i, image in enumerate(self.perm_vector):
             yield f"{i} -> {int(image)}"

@@ -432,20 +432,19 @@ def loop_coefficients(Z: np.ndarray) -> np.ndarray:
     return np.stack([np.stack(tr, axis=-1), np.stack(phi, axis=-1)])
 
 
-def loop_period(loop: LoopPath, steps: int | None = None) -> dict:
+def loop_period(loop: LoopPath) -> dict:
     """Contour integrals of both coefficient 1-forms around a closed loop.
 
     The ``oracle.trapezoid_periods`` of the exact ``loop_coefficients``
     contracted with z'(s), guarded by the closed-form margin
     (``membership_grid``): trapezoid in the loop parameter with one
-    Richardson refinement, steps doubling until both periods agree to
-    PERIOD_TARGET (NonConvergent past MAX_STEPS).  Returns a PeriodReport
-    per FunctionalKind: the expected period lattice unit (pi*i/2 or pi*i)
-    and the residual against its nearest integer multiple.
+    Richardson refinement, steps doubling from ``loop.steps`` until both
+    periods agree to PERIOD_TARGET (NonConvergent past MAX_STEPS).  Returns
+    a PeriodReport per FunctionalKind: the expected period lattice unit
+    (pi*i/2 or pi*i) and the residual against its nearest integer multiple.
     """
     values = oracle.trapezoid_periods(
         loop,
-        steps,
         lambda Z: membership_grid(Z)[0],
         # periodic trapezoid of c(z(s)) . z'(s): geometric convergence
         lambda Z, dZ: (loop_coefficients(Z) * dZ).sum(axis=-1),

@@ -83,7 +83,6 @@ def test_criterion_9_specifics(results):
     gaps = details["coverage_gaps"]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 0.5
-    assert results[9].timings["eigensolve_n5_seconds"] < 30.0
 
 
 class CoarseTreeAction(selfsim.TreeAction):

@@ -311,6 +311,12 @@ class TestUsageErrors:
                 "n_nodes must be even and at least 4",
             ),
             (["period", "--loop", "L1", "--steps", "4"], "a loop needs at least 8 steps"),
+            (["period", "--loop", "L1", "--steps", "-8"], "a loop needs at least 8 steps"),
+            (
+                ["period", "--loop", "L1", "--steps", "-8", "--method", "oracle"],
+                "a loop needs at least 8 steps",
+            ),
+            (["period", "--loop", "L1", "--steps", "0"], "a loop needs at least 8 steps"),
             (
                 ["slice", "--axes", "z0", "z1", "--fixed", "0", "0", "--grid", "0", "0"],
                 "raster grid must be at least 2x2",
@@ -329,7 +335,9 @@ class TestUsageErrors:
             ),
         ],
         ids=[
-            "tree-level", "trace-N", "trace-N-zero", "trace-nodes", "period-steps", "slice-grid",
+            "tree-level", "trace-N", "trace-N-zero", "trace-nodes", "period-steps",
+            "period-steps-negative", "period-steps-negative-oracle", "period-steps-zero",
+            "slice-grid",
             "mc-check-step-zero", "mc-check-step-negative", "mc-check-step-nan",
         ],
     )
@@ -382,7 +390,7 @@ class TestUsageErrors:
             ("[1]", "an inline loop must be a JSON object"),
             (
                 '{"center": 5, "radius": 1, "coords": ["z0"]}',
-                "inline loop center must be a list of [re, im] pairs",
+                "inline loop center must be a list of finite [re, im] pairs",
             ),
             (
                 '{"center": [[1, 0], [0, 0], [0, 0], [0, 0]], "radius": 1, "coords": 3}',
@@ -390,16 +398,42 @@ class TestUsageErrors:
             ),
             (
                 '{"center": [1, 2, 3, 4], "radius": 1, "coords": ["z0"]}',
-                "inline loop center must be a list of [re, im] pairs",
+                "inline loop center must be a list of finite [re, im] pairs",
             ),
             (
                 '{"center": [[1, 0], [0, 0], [0, 0], [0, 0]], "radius": 1, "coords": ["z0"],'
                 ' "signs": 3}',
-                "inline loop signs must be a list of numbers",
+                "inline loop signs must be a list of finite numbers",
             ),
             (
                 '{"center": [[1, 0], [0, 0], [0, 0], [0, 0]], "radius": [1], "coords": ["z0"]}',
-                "inline loop radius and steps must be numbers",
+                "inline loop radius and steps must be finite numbers",
+            ),
+            (
+                '{"center": [[NaN, 0], [0, 0], [0, 0], [1.5, 0]], "radius": 0.5, "coords": ["z0"]}',
+                "inline loop center must be a list of finite [re, im] pairs",
+            ),
+            (
+                '{"center": [[1, 0], [0, 0], [0, 0], [1e999, 0]], "radius": 0.5, "coords": ["z0"]}',
+                "inline loop center must be a list of finite [re, im] pairs",
+            ),
+            (
+                '{"center": [[1, 0], [0, 0], [0, 0], [0, 0]], "radius": Infinity, "coords": ["z0"]}',
+                "inline loop radius and steps must be finite numbers",
+            ),
+            (
+                '{"center": [[1, 0], [0, 0], [0, 0], [0, 0]], "radius": true, "coords": ["z0"]}',
+                "inline loop radius and steps must be finite numbers",
+            ),
+            (
+                '{"center": [[1, 0], [0, 0], [0, 0], [0, 0]], "radius": 0.5, "coords": ["z0"],'
+                ' "steps": 1' + "0" * 400 + '}',
+                "inline loop radius and steps must be finite numbers",
+            ),
+            (
+                '{"center": [[1, 0], [0, 0], [0, 0], [0, 0]], "radius": 0.5, "coords": ["z0"],'
+                ' "signs": [-Infinity]}',
+                "inline loop signs must be a list of finite numbers",
             ),
             (
                 '{"center": [[1, 0], [0, 0], [0, 0], [0, 0]], "radius": 1, "coords": [7, ["z0"]]}',
@@ -409,7 +443,8 @@ class TestUsageErrors:
         ids=[
             "missing-keys", "unknown-axis", "not-an-object", "center-number",
             "coords-number", "center-not-pairs", "signs-number", "radius-list",
-            "axis-index-out-of-range",
+            "center-nan", "center-overflow", "radius-infinity", "radius-bool", "steps-past-float",
+            "signs-infinity", "axis-index-out-of-range",
         ],
     )
     def test_malformed_inline_loop_exits_1(self, desc, message):

@@ -5,6 +5,7 @@ of the last grid.  The reference below is the refinement that evaluated every
 node of every grid; the nested one must give the same bits.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -43,37 +44,38 @@ def full_grid_refine(fn, n, target, n_max, what):
         n *= 2
 
 
-def full_grid_periods(loop, steps, guard, form, what):
-    n = loop.steps if steps is None else int(steps)
+def full_grid_periods(loop, guard, form, what):
+    loop.check()
 
     def value_at(nsteps):
-        Z = loop.samples(nsteps)[:-1]
+        s = np.arange(nsteps) / nsteps
+        Z = loop.points(s)
         margin = guard(Z).min()
         if margin <= 1e-9:
             raise LoopHitsSpectrum(f"{what}: sample margin {margin:.3e}")
-        return form(Z, loop.derivatives(nsteps)).mean(axis=-1)
+        return form(Z, np.asarray(loop.dfn(s), dtype=complex)).mean(axis=-1)
 
-    coarse, fine = full_grid_refine(value_at, n, oracle.PERIOD_TARGET, oracle.MAX_STEPS, what)
+    coarse, fine = full_grid_refine(
+        value_at, loop.steps, oracle.PERIOD_TARGET, oracle.MAX_STEPS, what
+    )
     return {
         kind: richardson(complex(c), complex(f))
         for kind, c, f in zip(FunctionalKind, coarse, fine)
     }
 
 
-def full_grid_oracle_period(loop, N, steps=None):
+def full_grid_oracle_period(loop, N):
     return full_grid_periods(
         loop,
-        steps,
         lambda Z: margin_grid(Z, N),
         lambda Z, dZ: oracle._klein_form(Z, dZ, N),
         f"oracle period on {loop.name} at N={N}",
     )
 
 
-def full_grid_loop_period(loop, steps=None):
+def full_grid_loop_period(loop):
     return full_grid_periods(
         loop,
-        steps,
         lambda Z: membership_grid(Z)[0],
         lambda Z, dZ: (traces.loop_coefficients(Z) * dZ).sum(axis=-1),
         f"period on {loop.name}",
@@ -111,30 +113,35 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-# L1, L2, a circle with z1*z2 != 0 and a complex centre, L1 without an
-# analytic derivative (spectral dz, evaluated whole on every grid), and
-# criterion 7's loops at seed 7
+# L1, L2, a circle with z1*z2 != 0 and a complex centre, and criterion 7's
+# loops at seed 7
 LOOPS = [
     loops.loop_L1(),
     loops.loop_L2(),
     loops.circle_loop([1 + 0.2j, 0.3, 0.2, 1.0], 0.8, ["z0"], name="offaxis"),
-    loops.LoopPath(loops.loop_L1().fn, name="L1-spectral"),
 ] + loops.random_axis_loops(7, 10)
 
 
+def first_grid(loop, steps):
+    """The loop with a first grid of ``steps`` steps (None keeps its own)."""
+    return loop if steps is None else dataclasses.replace(loop, steps=steps)
+
+
 class TestPeriodsMatchFullGrids:
-    @pytest.mark.parametrize("loop", LOOPS[:4], ids=lambda lp: lp.name)
+    @pytest.mark.parametrize("loop", LOOPS[:3], ids=lambda lp: lp.name)
     @pytest.mark.parametrize("N, steps", [(32, None), (16, 128), (5, 64)])
     def test_oracle(self, loop, N, steps):
-        got = oracle_period(loop, N=N, steps=steps)
-        ref = full_grid_oracle_period(loop, N, steps)
+        loop = first_grid(loop, steps)
+        got = oracle_period(loop, N=N)
+        ref = full_grid_oracle_period(loop, N)
         assert all(same_bits(got[kind], ref[kind]) for kind in FunctionalKind)
 
     @pytest.mark.parametrize("loop", LOOPS, ids=lambda lp: lp.name)
     @pytest.mark.parametrize("steps", [None, 8, 100])
     def test_analytic(self, loop, steps):
-        got = loop_period(loop, steps=steps)
-        ref = full_grid_loop_period(loop, steps)
+        loop = first_grid(loop, steps)
+        got = loop_period(loop)
+        ref = full_grid_loop_period(loop)
         assert all(same_bits(got[kind].value, ref[kind]) for kind in FunctionalKind)
 
     def test_nonconvergent_history(self, monkeypatch):
@@ -193,7 +200,7 @@ class TestGuardOnNewSamples:
         )
 
     def test_first_grid_clears_the_spectrum(self):
-        Z = self.loop().samples(8)[:-1]
+        Z = self.loop().points(np.arange(8) / 8)
         assert margin_grid(Z, 8).min() > 0.1
         assert membership_grid(Z)[0].min() > 1e-2
 

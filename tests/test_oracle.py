@@ -135,13 +135,13 @@ def reference_phitr(pencil, word):
     return complex(total) / (4 * n)
 
 
-def reference_canonical_period(loop, N, steps, max_steps=2**13):
+def reference_canonical_period(loop, N, max_steps=2**13):
     """Increment of log det of the full truncation around the loop, / 4N:
     slogdet at every sample, phase unwrapped on the first grid whose
     principal phase steps all stay below pi/2."""
-    n = steps
+    n = loop.steps
     while n <= max_steps:
-        Z = loop.samples(n)
+        Z = loop.points(np.arange(n + 1) / n)
         signs, logabs = zip(*(np.linalg.slogdet(pencil_matrix(zj, N).matrix) for zj in Z))
         dphi = np.angle(np.array(signs[1:]) / np.array(signs[:-1]))
         if np.abs(dphi).max() < np.pi / 2:
@@ -150,21 +150,22 @@ def reference_canonical_period(loop, N, steps, max_steps=2**13):
     raise AssertionError(f"reference log det on {loop.name} did not unwrap")
 
 
-def reference_twisted_period(loop, N, steps, residual_target=1e-6):
+def reference_twisted_period(loop, N, residual_target=1e-6):
     """The per-word full-inverse twisted period: for every sample, the four
     coefficients oracle_phitr(P, w) contracted with dz, each grid in full."""
 
     def value_at(nsteps):
-        Z = loop.samples(nsteps)[:-1]
+        s = np.arange(nsteps) / nsteps
+        Z = loop.points(s)
         coeffs = np.empty((len(Z), 4), dtype=complex)
         for j, zj in enumerate(Z):
             pencil = pencil_matrix(zj, N)
             for iw, word in enumerate(WORDS):
                 coeffs[j, iw] = reference_phitr(pencil, word)
-        dz = loop.derivatives(nsteps)
+        dz = loop.dfn(s)
         return complex((coeffs * dz).sum(axis=1).mean())
 
-    n = steps
+    n = loop.steps
     prev = value_at(n)
     while n < 2**13:
         n *= 2
@@ -703,11 +704,6 @@ class TestRefine:
         assert np.array_equal(coarse, [1.0, 1 / 8])
         assert np.array_equal(fine, [1.0, 1 / 16])
 
-    def test_grids_not_nested_ask_for_every_node(self):
-        fn, calls = recorded(dyadic_spike)
-        assert refine(fn, 4, 0.05, 1024, "toy", nested=False) == (1 / 16, 1 / 32)
-        assert calls == [(m, list(range(m))) for m in (4, 8, 16, 32)]
-
     @pytest.mark.parametrize("n_max, last", [(16, 16), (20, 32)])
     def test_no_grid_past_the_first_comparison_at_n_max(self, n_max, last):
         fn, calls = recorded(dyadic_spike)
@@ -750,13 +746,12 @@ class TestSymbol:
         assert np.array_equal(sa[stau], stau[sa])
 
 
-# L1, L2, a circle with z1*z2 != 0 and a complex centre around the z0 = z3
-# sheet, and L1 without an analytic derivative (spectral dz)
+# L1, L2, and a circle with z1*z2 != 0 and a complex centre around the
+# z0 = z3 sheet
 TWISTED_LOOPS = [
     loops.loop_L1(),
     loops.loop_L2(),
     loops.circle_loop([1 + 0.2j, 0.3, 0.2, 1.0], 0.8, ["z0"], name="offaxis"),
-    loops.LoopPath(loops.loop_L1().fn, name="L1-spectral"),
 ]
 
 
@@ -769,15 +764,15 @@ class TestOraclePeriods:
     def test_L1_canonical_on_coarse_grids(self, steps):
         # det P turns 64 times around L1 at N = 32: a phase unwrap of
         # coarse samples aliased this to 0
-        val = oracle_period(loops.loop_L1(), N=32, steps=steps)[TR]
+        val = oracle_period(loops.loop_L1(steps), N=32)[TR]
         assert abs(val - 1j * math.pi) <= 1e-6
 
     def test_L1_twisted(self):
-        val = oracle_period(loops.loop_L1(), N=16, steps=128)[PHI]
+        val = oracle_period(loops.loop_L1(128), N=16)[PHI]
         assert val == pytest.approx(-2j * math.pi, abs=1e-6)
 
     def test_L2_twisted_vanishes(self):
-        val = oracle_period(loops.loop_L2(), N=16, steps=128)[PHI]
+        val = oracle_period(loops.loop_L2(128), N=16)[PHI]
         assert abs(val) <= 1e-6
 
     def test_size_cap_before_the_loop_margins(self):
@@ -786,18 +781,19 @@ class TestOraclePeriods:
             oracle_period(loops.loop_L1(), N=2**40)
 
     def test_loop_through_spectrum_rejected(self):
-        bad = loops.circle_loop([1.0, 0, 0, 1.5], 0.5, ["z0"], name="bad")
+        bad = loops.circle_loop([1.0, 0, 0, 1.5], 0.5, ["z0"], steps=64, name="bad")
         with pytest.raises(LoopHitsSpectrum):
-            oracle_period(bad, N=8, steps=64)
+            oracle_period(bad, N=8)
 
     def test_step_cap_before_the_samples(self):
         # 2^40 steps would allocate (2^40, 4) samples first
-        loop = loops.loop_L1()
-        loop.fn = None  # any sampling fails
+        loop = loops.loop_L1(2**40)
+        loop.fn = loop.dfn = None  # any sampling fails
         with pytest.raises(GridTooLarge, match="first grid of 1099511627776 exceeds"):
-            oracle_period(loop, N=32, steps=2**40)
+            oracle_period(loop, N=32)
+        loop.steps = 2 * oracle.MAX_STEPS
         with pytest.raises(GridTooLarge):
-            oracle_period(loop, N=32, steps=2 * oracle.MAX_STEPS)
+            oracle_period(loop, N=32)
 
     def test_twisted_nonconvergent_at_step_cap(self, monkeypatch):
         # off the spectrum at z0 = 0 by 0.01: 16 -> 32 steps change the
@@ -811,25 +807,20 @@ class TestOraclePeriods:
 
     @pytest.mark.parametrize("loop", TWISTED_LOOPS, ids=lambda lp: lp.name)
     def test_twisted_matches_full_inverse_reference(self, loop):
-        val = oracle_period(loop, N=16, steps=128)[PHI]
-        assert abs(val - reference_twisted_period(loop, 16, 128)) <= 1e-12
+        loop = dataclasses.replace(loop, steps=128)
+        val = oracle_period(loop, N=16)[PHI]
+        assert abs(val - reference_twisted_period(loop, 16)) <= 1e-12
 
     @pytest.mark.parametrize("loop", TWISTED_LOOPS, ids=lambda lp: lp.name)
     def test_canonical_matches_full_slogdet_reference(self, loop):
         val = oracle_period(loop, N=16)[TR]
-        assert abs(val - reference_canonical_period(loop, 16, loop.steps)) <= 1e-12
+        assert abs(val - reference_canonical_period(loop, 16)) <= 1e-12
 
-    @pytest.mark.parametrize(
-        "loop, solved",
-        # 128 and 256 steps, at most KLEIN_ROWS // 4N = 256 samples per gtsv:
-        # with an analytic dz the second grid solves only its 128 new
-        # samples; spectral dz changes at every sample, so it solves all 256
-        [(loops.loop_L1(), (128, 128)), (loops.LoopPath(loops.loop_L1().fn), (128, 256))],
-        ids=["analytic", "spectral"],
-    )
-    def test_one_tridiagonal_solve_per_grid(self, monkeypatch, loop, solved):
+    def test_one_tridiagonal_solve_per_grid(self, monkeypatch):
         # one gtsv per grid for both functionals, on all 4 S Klein blocks of
-        # its S new samples end to end, solved in place
+        # its S new samples end to end, solved in place: 128 and 256 steps,
+        # at most KLEIN_ROWS // 4N = 256 samples per gtsv, and the second
+        # grid solves only its 128 new samples
         calls = []
         gtsv = oracle._gtsv()
 
@@ -839,9 +830,9 @@ class TestOraclePeriods:
 
         monkeypatch.setattr(oracle, "_gtsv", lambda: counted)
         N = 16
-        assert set(oracle_period(loop, N=N, steps=128)) == set(FunctionalKind)
+        assert set(oracle_period(loops.loop_L1(128), N=N)) == set(FunctionalKind)
         assert len(calls) == 2
-        for S, (shapes, kw) in zip(solved, calls):
+        for S, (shapes, kw) in zip((128, 128), calls):
             size = 4 * S * N
             assert shapes == ((size - 1,), (size,), (size - 1,), (size,))
             flags = ("overwrite_dl", "overwrite_d", "overwrite_du", "overwrite_b")

@@ -409,7 +409,7 @@ class TestPeriods:
         # a scripted (coarse, fine) pair per functional: returning the fine
         # grid alone (4.0, 8.0) or the coarse one (1.0, 2.0) instead of the
         # step fails here, and so does a swap of the functionals
-        def scripted(nodes, n, target, n_max, what, nested=True):
+        def scripted(nodes, n, target, n_max, what):
             return np.array([1.0, 2.0]), np.array([4.0, 8.0])
 
         monkeypatch.setattr(oracle, "refine", scripted)
@@ -420,7 +420,7 @@ class TestPeriods:
         assert loop_period(loops.loop_L1())[kind].value == expect
 
     def test_report_schema(self):
-        rep = loop_period(loops.loop_L1(), steps=64)[TR]
+        rep = loop_period(loops.loop_L1(64))[TR]
         js = rep.to_json()
         assert set(js) == {
             "loop",
@@ -435,15 +435,15 @@ class TestPeriods:
         assert js["quantum_im"] == pytest.approx(math.pi / 2)
 
     def test_loop_through_spectrum_rejected(self):
-        bad = loops.circle_loop([1.0, 0, 0, 1.5], 0.5, ["z0"], name="bad")
+        bad = loops.circle_loop([1.0, 0, 0, 1.5], 0.5, ["z0"], steps=64, name="bad")
         with pytest.raises(LoopHitsSpectrum):
-            loop_period(bad, steps=64)
+            loop_period(bad)
 
     def test_step_cap_before_the_samples(self):
-        loop = loops.loop_L1()
-        loop.fn = None  # any sampling fails
+        loop = loops.loop_L1(2 * MAX_STEPS)
+        loop.fn = loop.dfn = None  # any sampling fails
         with pytest.raises(GridTooLarge, match="period on L1: first grid"):
-            loop_period(loop, steps=2 * MAX_STEPS)
+            loop_period(loop)
 
     def test_nonconvergent_at_step_cap(self, monkeypatch):
         # off the spectrum at z0 = 0 by 0.01: 16 -> 32 steps change the
@@ -499,11 +499,49 @@ class TestReferenceLoops:
         z = np.zeros((steps + 1, 4), dtype=complex)
         z[:, 0] = (3.0 + w) / 2.0
         z[:, 3] = (3.0 - w) / 2.0 if sign < 0 else (w - 3.0) / 2.0
-        np.testing.assert_array_equal(loop.samples(), z)
-        dz = np.zeros((steps, 4), dtype=complex)
-        dz[:, 0] = 1j * np.pi * w[:-1]
+        s = np.arange(steps + 1) / steps
+        np.testing.assert_array_equal(loop.points(s), z)
+        dz = np.zeros((steps + 1, 4), dtype=complex)
+        dz[:, 0] = 1j * np.pi * w
         dz[:, 3] = sign * dz[:, 0]
-        np.testing.assert_array_equal(loop.derivatives(), dz)
+        np.testing.assert_array_equal(loop.dfn(s), dz)
+
+
+def open_path(steps):
+    """z0 runs from 3 to 4: a path that misses the spectrum but never closes."""
+    return loops.LoopPath(
+        lambda s: np.outer(np.ones(len(s)), [3, 0, 0, 0]) + np.outer(s, [1, 0, 0, 0]),
+        lambda s: np.outer(np.ones(len(s)), [1, 0, 0, 0]),
+        steps,
+        "open",
+    )
+
+
+class TestFirstGridChecks:
+    """Both period routes check the first grid once, before any sample."""
+
+    ROUTES = {
+        "analytic": loop_period,
+        "oracle": lambda loop: oracle.oracle_period(loop, N=8),
+    }
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("steps", [-8, 7])
+    def test_short_first_grid(self, route, steps):
+        # a negative grid must not reach the sampler as an empty one
+        loop = loops.loop_L1(steps)
+        loop.fn = loop.dfn = None  # any sampling fails
+        with pytest.raises(ValueError, match="^a loop needs at least 8 steps$"):
+            self.ROUTES[route](loop)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_open_loop(self, monkeypatch, route):
+        guarded = []
+        for module, name in ((oracle, "margin_grid"), (traces, "membership_grid")):
+            monkeypatch.setattr(module, name, lambda Z, *args: guarded.append(Z))
+        with pytest.raises(ValueError, match="^loop is not closed$"):
+            self.ROUTES[route](open_path(64))
+        assert guarded == []
 
 
 class TestIndependence:
