@@ -18,7 +18,7 @@ import numpy as np
 from . import erratum, loops, oracle, selfsim, traces
 from .config import RunConfig
 from .erratum import P_POINT
-from .group import GEN_A, GEN_T, GEN_TAU, GEN_U, FunctionalKind, GroupElement, mul
+from .group import GEN_A, GEN_T, GEN_TAU, GEN_U, FunctionalKind, generator_product, mul
 from .spectrum import membership, membership_grid
 
 
@@ -256,14 +256,10 @@ def criterion_7(config: RunConfig) -> CriterionResult:
 
 def _random_words(rng: np.random.Generator, count: int):
     """Products of 1 to 6 generators a, t, tau."""
-    gens = (GEN_A, GEN_T, GEN_TAU)
-    words = []
-    for _ in range(count):
-        g = GroupElement()
-        for i in rng.integers(0, 3, size=rng.integers(1, 7)):
-            g = mul(g, gens[i])
-        words.append(g)
-    return words
+    return [
+        generator_product(rng.integers(0, 3, size=rng.integers(1, 7)).tolist())
+        for _ in range(count)
+    ]
 
 
 def criterion_8(config: RunConfig) -> CriterionResult:
@@ -273,14 +269,16 @@ def criterion_8(config: RunConfig) -> CriterionResult:
     words = _random_words(rng, 200)
     failures: List[str] = []
 
+    # the level vectors of the 100 pairs (g, h) and their products, stacked
+    gs, hs = words[0::2], words[1::2]
+    products = [mul(g, h) for g, h in zip(gs, hs)]
     for level in range(1, 5):
-        for g, h in zip(words[0::2], words[1::2]):
-            lg = selfsim.level_matrix(g, level).perm_vector
-            lh = selfsim.level_matrix(h, level).perm_vector
-            lgh = selfsim.level_matrix(mul(g, h), level).perm_vector
-            if not np.array_equal(lgh, lg[lh]):
-                failures.append(f"homomorphism at level {level}")
-                break
+        lg, lh, lgh = (
+            np.stack([selfsim.level_matrix(g, level).perm_vector for g in x])
+            for x in (gs, hs, products)
+        )
+        if not np.array_equal(lgh, np.take_along_axis(lg, lh, axis=1)):
+            failures.append(f"homomorphism at level {level}")
 
     for level in range(1, 5):
         mats = {
@@ -307,9 +305,8 @@ def criterion_8(config: RunConfig) -> CriterionResult:
         ident = np.arange(4**level)
         if np.array_equal(power, ident) or not np.array_equal(power[power], ident):
             failures.append(f"u does not have order 2^{level} at level {level}")
-    leaves = [tuple(int(c) for c in np.base_repr(i, 4).zfill(3)) for i in range(64)]
     for g in [GEN_U] + words[:8]:
-        walked = [int("".join(map(str, selfsim.act_on_word(g, w))), 4) for w in leaves]
+        walked = selfsim.act_on_level(g, 3)
         if not np.array_equal(selfsim.level_matrix(g, 3).perm_vector, walked):
             failures.append(f"level-3 vector of {g} is not its letter-by-letter action")
 

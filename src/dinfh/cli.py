@@ -124,8 +124,14 @@ def _parse_loop(text: str, steps: int | None):
             raise argparse.ArgumentTypeError("inline loop coords must be a list")
         if not (signs is None or _numbers(signs)):
             raise argparse.ArgumentTypeError("inline loop signs must be a list of finite numbers")
-        if not _numbers([desc["radius"], desc.get("steps", 512)]):
+        steps_value, name = desc.get("steps", 512), desc.get("name", "inline")
+        if not _numbers([desc["radius"], steps_value]):
             raise argparse.ArgumentTypeError("inline loop radius and steps must be finite numbers")
+        # a JSON integer, as --steps takes: int() would truncate 8.9 to 8
+        if not isinstance(steps_value, int):
+            raise argparse.ArgumentTypeError("inline loop steps must be an integer")
+        if not isinstance(name, str):
+            raise argparse.ArgumentTypeError("inline loop name must be a string")
         # a coordinate is a name or its index; a list compares without hashing
         unknown = [c for c in coords if c not in [*loops.AXIS_INDEX, *range(4)]]
         if unknown:
@@ -137,8 +143,8 @@ def _parse_loop(text: str, steps: int | None):
             float(desc["radius"]),
             coords,
             signs,
-            steps=int(desc.get("steps", 512)),
-            name=desc.get("name", "inline"),
+            steps=steps_value,
+            name=name,
         )
     if steps is not None:
         loop.steps = steps

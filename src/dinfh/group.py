@@ -102,6 +102,24 @@ def mul(g: GroupElement, h: GroupElement) -> GroupElement:
     )
 
 
+def generator_product(indices: Iterable[int]) -> GroupElement:
+    """Product of the generators (a, t, tau)[i] for i in ``indices``, left to
+    right, folded in the integers of the normal form as ``mul`` would reduce
+    it: a = t u^-1 sends k to -k - 1 and t sends k to -k, both flip t_flag,
+    and tau flips tau_flag."""
+    k = t_flag = tau_flag = 0
+    for i in indices:
+        if i == 0:
+            k, t_flag = -k - 1, t_flag ^ 1
+        elif i == 1:
+            k, t_flag = -k, t_flag ^ 1
+        elif i == 2:
+            tau_flag ^= 1
+        else:
+            raise ValueError(f"generator index {i!r} is not 0, 1 or 2")
+    return GroupElement(k, t_flag, tau_flag)
+
+
 def inv(g: GroupElement) -> GroupElement:
     """Inverse of g.  Elements with t_flag set are involutions."""
     if g.t_flag:

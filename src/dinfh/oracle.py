@@ -24,9 +24,12 @@ a reference (``pencil_matrix``, ``klein_blocks``); the tau-parity 2x2
 split is the fast path that serves the membership margins, sweeps and
 quadratures, and its exact circle means (``circle_means``, by the residue
 theorem) give the loop coefficients and the potential with no quadrature.
-For a real point |w(theta)| is monotone in cos(theta), so its margins
-(``margin_grid``) evaluate only the few grid angles that bracket the
-minimum, with the bits of a scan of all N.
+The margins (``margin_grid``) route each point by its own blocks: where z1
+and z2 are real, wbar = conj(w), each block is d I plus a Hermitian matrix,
+hence normal, and |w(theta)| is monotone in cos(theta), so its margin
+evaluates only the few grid angles that bracket the minimum, with the bits
+of a scan of all N; only a point with complex z1 or z2 takes the general
+2x2 closed form.  A point's margin does not depend on its batch.
 
 The oracle trace and period values come from the group structure of the
 truncation alone, neither the DFT nor the 2x2 symbol, so they stay
@@ -222,18 +225,43 @@ def jacobi_blocks(Z, N: int) -> tuple:
     """The Klein blocks at points Z (n, 4), tridiagonal in ``path_order``.
 
     Returns (off, diag), of shapes (n, 4, N - 1) and (n, 4, N) in
-    KLEIN_BLOCKS order.  Edges from even positions are K, from odd ones J;
-    J loops at vertex 0 (first), and J or K (N even or odd) at the last.
+    KLEIN_BLOCKS order, off a view of the band that ``_klein_bands`` writes.
+    Edges from even positions are K, from odd ones J; J loops at vertex 0
+    (first), and J or K (N even or odd) at the last.
+    """
+    band, diag = _klein_bands(Z, N)
+    return band[..., :-1], diag
+
+
+def _klein_bands(Z, N: int) -> tuple:
+    """The off-diagonal band and the diagonals of the Klein blocks at points
+    Z (n, 4), each entry written once.
+
+    The band (n, 4, N) holds each block's N - 1 off-diagonals, r times the
+    path's edges z1, z2, z1, ... (K, J, K, ...), and then an exact 0: the
+    edges of a point are one strided row, multiplied by r into the band.
+    The diagonals (n, 4, N) are d + r l, d = z0 + s z3 and l the loop term
+    at each position: z2 (J) at the first, 0 inside, and 0 + z2 (J) or
+    0 + z1 (K) at the last, each a complex sum and product as written, so
+    signed zeros come out as in a dense d + r l.
     """
     _check_size(N)
     Z = np.asarray(Z, dtype=complex).reshape(-1, 4)
     s, r = np.array(KLEIN_BLOCKS, dtype=float).T[..., None]
     z0, z1, z2, z3 = (Z[:, i, None, None] for i in range(4))
-    off = r * np.where(np.arange(N - 1) % 2 == 0, z1, z2)
-    loops = np.zeros((len(Z), 1, N), dtype=complex)
-    loops[..., :1] = z2
-    loops[..., -1:] += z2 if N % 2 == 0 else z1
-    return off, (z0 + s * z3) + r * loops
+    edges = np.empty((len(Z), 1, N - 1), dtype=complex)
+    edges[..., 0::2] = z1
+    edges[..., 1::2] = z2
+    band = np.empty((len(Z), 4, N), dtype=complex)
+    np.multiply(r, edges, out=band[..., :-1])
+    band[..., -1] = 0.0
+    d = z0 + s * z3
+    zero = np.zeros((1, 1, 1), dtype=complex)
+    diag = np.empty((len(Z), 4, N), dtype=complex)
+    diag[...] = d + r * zero
+    diag[..., :1] = d + r * z2
+    diag[..., -1:] = d + r * (zero + (z2 if N % 2 == 0 else z1))
+    return band, diag
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,14 +444,17 @@ def margin_grid(points: np.ndarray, N: int) -> np.ndarray:
     """Batched truncation margins for an (n, 4) array of pencil points.
 
     The truncation's singular values are those of the 2N parity blocks
-    [[z0 +- z3, w], [wbar, z0 +- z3]] at the angles 2 pi k / N.  Complex
-    inputs use the 2x2 closed form |det| / sigma_max, with |w|^2 and
-    |wbar|^2 taken once per batch, and scan every angle.
+    [[d, w], [wbar, d]], d = z0 +- z3, at the angles 2 pi k / N.  Each row
+    takes its route from its own coordinates, so a point's margin does not
+    depend on the other points of its batch.
 
-    Real inputs give Hermitian blocks, wbar = conj(w), with eigenvalues
-    z0 +- z3 +- |w|, so a block's margin is min_k |a - |w_k||, a = |z0 +- z3|.
-    As |w(theta)|^2 = z1^2 + z2^2 + 2 z1 z2 cos(theta) is monotone in cos,
-    |a - |w|| falls and then rises along the ascending grid cosines
+    A row with real z1 and z2 has wbar = conj(w): each block is d I + H with
+    H Hermitian of eigenvalues +-|w|, so it is normal, with singular values
+    |d +- |w||, and its margin is hypot(min_k ||Re d| - |w_k||, Im d), hypot
+    taken once per block after the minimum (for real d it is the minimum
+    itself, as hypot(x, 0) = |x|, and a chunk of real d skips it).  With
+    a = |Re d| and |w(theta)|^2 = z1^2 + z2^2 + 2 z1 z2 cos(theta) monotone
+    in cos, |a - |w|| falls and then rises along the ascending grid cosines
     cos(2 pi k / N), k <= N/2, towards c* = (a^2 - z1^2 - z2^2) / (2 z1 z2)
     and away from it.  The bracket finds the position k with cos_{k-1} <
     c* <= cos_k (one ``searchsorted``) and evaluates |w|, with the full
@@ -441,12 +472,17 @@ def margin_grid(points: np.ndarray, N: int) -> np.ndarray:
     above the roundoff, the computed |w| keep that order, and since rounding
     is monotone, no computed |a - |w|| outside the bracket is smaller than
     the bracket's least.  The step counts as well above the roundoff where
-    |2 z1 z2| (1 - cos 2 pi/N) > _BRACKET_ROUNDOFF eps (z1^2 + z2^2); the
-    other rows, among them z1 z2 = 0, and every row whose c* is not finite
-    (a NaN or inf coordinate, or an overflow), get the full scan.
+    |2 z1 z2| (1 - cos 2 pi/N) > _BRACKET_ROUNDOFF eps (z1^2 + z2^2).  A
+    row with z1 = z2 = 0 has w = 0 exactly at every angle, so any angles
+    bracket its minimum.  The other rows, among them z1 z2 = 0 with z1 or
+    z2 nonzero, and every row whose c* is not finite (a NaN or inf
+    coordinate, or an overflow), get the full scan, which takes |w| once
+    for both blocks and never forms wbar.
 
-    Real inputs take |w| once per batch for both blocks and never form
-    wbar.  The full scan goes through in batches of MARGIN_CHUNK points and
+    A row with complex z1 or z2, or with a non-finite coordinate and a
+    complex one, takes the 2x2 closed form |det| / sigma_max at every angle
+    (``_block_sigma_min``), with |w|^2 and |wbar|^2 taken once for both
+    blocks.  The full scans go through in batches of MARGIN_CHUNK points and
     the bracket in batches whose (points, 12) arrays are no larger than a
     (MARGIN_CHUNK, N) one.  ValueError unless N >= 1.
     """
@@ -455,30 +491,42 @@ def margin_grid(points: np.ndarray, N: int) -> np.ndarray:
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ValueError("points must have shape (n, 4)")
-    hermitian = np.all(pts.imag == 0.0)
+    # rows with real z1 and z2; a non-finite row among them keeps the 2x2
+    # form unless z0 and z3 are real too (taken column by column, as numpy's
+    # any/all along rows of 4 cost criterion 1's points about 0.3 ms)
+    imag = pts.imag != 0.0
+    finite = np.isfinite(pts)
+    finite = finite[:, 0] & finite[:, 1] & finite[:, 2] & finite[:, 3]
+    normal = ~(imag[:, 1] | imag[:, 2]) & (~(imag[:, 0] | imag[:, 3]) | finite)
     up = np.exp(1j * fft_angles(N))
     out = np.empty(len(pts))
-    scan = _bracket_margins(pts, up, out) if hermitian else np.arange(len(pts))
-    for lo in range(0, len(scan), MARGIN_CHUNK):
-        rows = scan[lo : lo + MARGIN_CHUNK]
-        z0, z1, z2, z3 = (pts[rows, i, None] for i in range(4))
-        w = z1 * up + z2
-        if hermitian:
-            aw = np.abs(w)
-            sv = [np.abs(np.abs(d.real) - aw).min(axis=1) for d in (z0 + z3, z0 - z3)]
-        else:
-            wbar = z1 * np.conj(up) + z2
-            aw, av = np.abs(w) ** 2, np.abs(wbar) ** 2
-            sv = [
-                _block_sigma_min(d, w, wbar, aw, av).min(axis=1) for d in (z0 + z3, z0 - z3)
-            ]
-        out[rows] = np.minimum(*sv)
+    rows = np.flatnonzero(normal)
+    part = np.empty(len(rows))
+    scan = rows[_bracket_margins(pts[rows], up, part)]
+    out[rows] = part
+    for rows, hermitian in ((scan, True), (np.flatnonzero(~normal), False)):
+        for lo in range(0, len(rows), MARGIN_CHUNK):
+            chunk = rows[lo : lo + MARGIN_CHUNK]
+            z0, z1, z2, z3 = (pts[chunk, i, None] for i in range(4))
+            w = z1 * up + z2
+            blocks = (z0 + z3, z0 - z3)
+            if hermitian:
+                aw = np.abs(w)
+                sv = [np.abs(np.abs(d.real) - aw).min(axis=1) for d in blocks]
+                if z0.imag.any() or z3.imag.any():
+                    sv = [np.hypot(m, d[:, 0].imag) for m, d in zip(sv, blocks)]
+            else:
+                wbar = z1 * np.conj(up) + z2
+                aw, av = np.abs(w) ** 2, np.abs(wbar) ** 2
+                sv = [_block_sigma_min(d, w, wbar, aw, av).min(axis=1) for d in blocks]
+            out[chunk] = np.minimum(*sv)
     return out
 
 
 def _bracket_margins(pts: np.ndarray, up: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The bracketed margins of the real points ``pts`` (see ``margin_grid``),
-    written to ``out``; returns the rows left to the full scan."""
+    """The bracketed margins of the points ``pts`` with real z1 and z2 (see
+    ``margin_grid``), written to ``out``; returns the rows left to the full
+    scan."""
     N = len(up)
     half = N // 2
     cos = up.real[half::-1]  # cos(2 pi k / N) for k = half, ..., 1, 0: ascending
@@ -494,6 +542,9 @@ def _bracket_margins(pts: np.ndarray, up: np.ndarray, out: np.ndarray) -> np.nda
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             c = (a * a - s) / b
             ok = np.isfinite(c).all(axis=0) & (np.abs(b) * gap > _BRACKET_ROUNDOFF * _EPS * s)
+        # where z1 = z2 = 0, w is exactly 0 at every angle: any angle is a minimum
+        rest = np.flatnonzero(~ok)
+        ok[rest[(x1[rest] == 0.0) & (x2[rest] == 0.0)]] = True
         left[lo : lo + step] = ~ok
         rows = np.flatnonzero(ok)
         a, c = a[:, rows], c[:, rows]
@@ -501,7 +552,12 @@ def _bracket_margins(pts: np.ndarray, up: np.ndarray, out: np.ndarray) -> np.nda
         k = np.searchsorted(cos, c)
         k = half - np.clip(k + np.array([-1, 0, 1])[:, None, None], 0, half)
         w = z[1, rows] * up[np.concatenate([k, (N - k) % N])] + z[2, rows]
-        out[lo + rows] = np.abs(a - np.abs(w)).min(axis=(0, 1))
+        if z[0].imag.any() or z[3].imag.any():
+            y0, y3 = z[0, rows].imag, z[3, rows].imag
+            dev = np.abs(a - np.abs(w)).min(axis=0)
+            out[lo + rows] = np.hypot(dev, np.stack([y0 + y3, y0 - y3])).min(axis=0)
+        else:
+            out[lo + rows] = np.abs(a - np.abs(w)).min(axis=(0, 1))
     return np.flatnonzero(left)
 
 
@@ -566,18 +622,15 @@ def _klein_solve(Z, dZ, N: int) -> np.ndarray:
     |u_kk| |L e_k| <= sqrt(2) |u_kk| of rank k - 1: the block's smallest
     singular value is below sqrt(2) |u_kk|, as for a block solved alone.
     """
-    off, diag = jacobi_blocks(Z, N)
+    # each block's N - 1 off-diagonals, then the exact 0 that couples it to
+    # the next; gtsv overwrites both bands, so they are two arrays
+    band, diag = _klein_bands(Z, N)
+    lower = band.reshape(-1)[:-1]
+    upper = lower.copy()
     s, r = np.array(KLEIN_BLOCKS, dtype=float).T
     rhs = np.zeros(diag.shape, dtype=complex)
     rhs[..., 0] = dZ[:, 0, None] + s * dZ[:, 3, None] + r * dZ[:, 2, None]
     rhs[..., 1] = r * dZ[:, 1, None]
-    # each block's N - 1 off-diagonals, then the exact 0 that couples it to
-    # the next; gtsv overwrites both bands, so they are two arrays
-    band = np.zeros(diag.shape, dtype=complex)
-    band[..., :-1] = off
-    del off
-    lower = band.reshape(-1)[:-1]
-    upper = lower.copy()
     _, pivots, _, x, info = _gtsv()(
         lower, diag.reshape(-1), upper, rhs.reshape(-1),
         overwrite_dl=True, overwrite_d=True, overwrite_du=True, overwrite_b=True,

@@ -170,6 +170,20 @@ class TreeAction:
             g = wr.restrictions[x]
         return tuple(out)
 
+    def act_on_level(self, g: GroupElement, n: int) -> np.ndarray:
+        """Images of all 4^n level-n words under g, in ``level_matrix``'s
+        index encoding, from one breadth-first walk of the letter-by-letter
+        action: each word of length below n decomposes its restriction
+        once with ``wreath_of``, with no reduction of k and no level cache.
+        """
+        _check_level(n)
+        images, states = [0], [g]
+        for _ in range(n):
+            walked = [(4 * image, self.wreath_of(h)) for image, h in zip(images, states)]
+            images = [base + x for base, wr in walked for x in wr.perm]
+            states = [h for _, wr in walked for h in wr.restrictions]
+        return np.array(images, dtype=np.int64)
+
     def level_matrix(self, g: GroupElement, n: int) -> np.ndarray:
         """Permutation vector of g on the 4^n level-n words.
 
@@ -277,6 +291,11 @@ class LevelMatrix:
     def dump_lines(self) -> Iterable[str]:
         for i, image in enumerate(self.perm_vector):
             yield f"{i} -> {int(image)}"
+
+
+def act_on_level(g: GroupElement, n: int) -> np.ndarray:
+    """Level-n images of g by the letter-by-letter action (``TreeAction.act_on_level``)."""
+    return _DEFAULT_ACTION.act_on_level(g, n)
 
 
 def level_matrix(g: GroupElement, n: int) -> LevelMatrix:

@@ -8,12 +8,13 @@ test asserts one criterion and prints its pass/fail line.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from dinfh import oracle, selfsim
+from dinfh import acceptance, oracle, selfsim
 from dinfh.acceptance import CRITERIA, criterion_6, criterion_8, run_all
 from dinfh.config import RunConfig
-from dinfh.group import GroupElement
+from dinfh.group import GEN_A, GEN_T, GEN_TAU, GroupElement, mul
 
 
 @pytest.mark.parametrize(
@@ -83,6 +84,32 @@ def test_criterion_9_specifics(results):
     gaps = details["coverage_gaps"]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 0.5
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_random_words_are_the_generator_products(seed):
+    def folded(rng, count):
+        gens = (GEN_A, GEN_T, GEN_TAU)
+        words = []
+        for _ in range(count):
+            g = GroupElement()
+            for i in rng.integers(0, 3, size=rng.integers(1, 7)):
+                g = mul(g, gens[i])
+            words.append(g)
+        return words
+
+    rng, ref = (np.random.default_rng([seed, 8]) for _ in range(2))
+    assert acceptance._random_words(rng, 200) == folded(ref, 200)
+    # the same rng calls: both generators are in the same state
+    assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+
+def test_criterion_8_catches_a_wrong_product(monkeypatch):
+    # g*h taken as h*g: the stacked check sees the law fail at levels 2-4
+    # (level 1 is abelian: t acts trivially there)
+    monkeypatch.setattr(acceptance, "mul", lambda g, h: mul(h, g))
+    failures = criterion_8(RunConfig()).details["failures"]
+    assert failures == [f"homomorphism at level {n}" for n in range(2, 5)]
 
 
 class CoarseTreeAction(selfsim.TreeAction):

@@ -123,11 +123,13 @@ class TestPeriodCommand:
                 "radius": 0.4,
                 "coords": ["z0"],
                 "steps": 64,
+                "name": "ring",
             }
         )
         code, out, _ = run_cli(capsys, "period", "--loop", desc)
         assert code == 0
         assert json.loads(out)["nearest"] == 0
+        assert json.loads(out)["loop"] == "ring"
 
 
 class TestTreeCommands:
@@ -439,12 +441,28 @@ class TestUsageErrors:
                 '{"center": [[1, 0], [0, 0], [0, 0], [0, 0]], "radius": 1, "coords": [7, ["z0"]]}',
                 "unknown loop coordinates [7, ['z0']]; use ['z0', 'z1', 'z2', 'z3']",
             ),
+            (
+                '{"center": [[2.5, 0], [0, 0], [0, 0], [0.5, 0]], "radius": 0.4, "coords": ["z0"],'
+                ' "name": [1]}',
+                "inline loop name must be a string",
+            ),
+            (
+                '{"center": [[2.5, 0], [0, 0], [0, 0], [0.5, 0]], "radius": 0.4, "coords": ["z0"],'
+                ' "steps": 8.9}',
+                "inline loop steps must be an integer",
+            ),
+            (
+                '{"center": [[2.5, 0], [0, 0], [0, 0], [0.5, 0]], "radius": 0.4, "coords": ["z0"],'
+                ' "steps": 64.0}',
+                "inline loop steps must be an integer",
+            ),
         ],
         ids=[
             "missing-keys", "unknown-axis", "not-an-object", "center-number",
             "coords-number", "center-not-pairs", "signs-number", "radius-list",
             "center-nan", "center-overflow", "radius-infinity", "radius-bool", "steps-past-float",
-            "signs-infinity", "axis-index-out-of-range",
+            "signs-infinity", "axis-index-out-of-range", "name-list", "steps-fraction",
+            "steps-float",
         ],
     )
     def test_malformed_inline_loop_exits_1(self, desc, message):

@@ -15,6 +15,7 @@ from dinfh.group import (
     algebra_mul,
     algebra_star,
     canonical_trace,
+    generator_product,
     inv,
     invert_scalar_plus_tau,
     mul,
@@ -82,6 +83,25 @@ class TestMul:
         for m in (-3, 0, 7):
             assert act(m, 0) == expect(m, 0)
             assert act(m, 1) == expect(m, 1)
+
+
+class TestGeneratorProduct:
+    @given(st.lists(st.integers(0, 2), max_size=12))
+    def test_is_the_mul_fold(self, indices):
+        g = IDENTITY
+        for i in indices:
+            g = mul(g, (GEN_A, GEN_T, GEN_TAU)[i])
+        assert generator_product(indices) == g
+
+    def test_generators(self):
+        assert generator_product([]) == IDENTITY
+        assert [generator_product([i]) for i in range(3)] == [GEN_A, GEN_T, GEN_TAU]
+        assert generator_product([0, 1]) == GEN_U
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_unknown_index_raises(self, bad):
+        with pytest.raises(ValueError, match="generator index"):
+            generator_product([0, bad])
 
 
 class TestInv:

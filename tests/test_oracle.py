@@ -569,6 +569,40 @@ def block_pivots(z, N):
     return out
 
 
+def where_jacobi_blocks(Z, N):
+    """jacobi_blocks with its off-diagonals from one np.where broadcast."""
+    Z = np.asarray(Z, dtype=complex).reshape(-1, 4)
+    s, r = np.array(KLEIN_BLOCKS, dtype=float).T[..., None]
+    z0, z1, z2, z3 = (Z[:, i, None, None] for i in range(4))
+    off = r * np.where(np.arange(N - 1) % 2 == 0, z1, z2)
+    loops = np.zeros((len(Z), 1, N), dtype=complex)
+    loops[..., :1] = z2
+    loops[..., -1:] += z2 if N % 2 == 0 else z1
+    return off, (z0 + s * z3) + r * loops
+
+
+def copied_band_klein_solve(Z, dZ, N):
+    """_klein_solve with the bands copied from where_jacobi_blocks: a zero
+    band with the off-diagonals copied in, and a copy of it for gtsv's
+    upper band."""
+    off, diag = where_jacobi_blocks(Z, N)
+    s, r = np.array(KLEIN_BLOCKS, dtype=float).T
+    rhs = np.zeros(diag.shape, dtype=complex)
+    rhs[..., 0] = dZ[:, 0, None] + s * dZ[:, 3, None] + r * dZ[:, 2, None]
+    rhs[..., 1] = r * dZ[:, 1, None]
+    band = np.zeros(diag.shape, dtype=complex)
+    band[..., :-1] = off
+    lower = band.reshape(-1)[:-1]
+    upper = lower.copy()
+    _, pivots, _, x, info = GTSV(
+        lower, diag.reshape(-1), upper, rhs.reshape(-1),
+        overwrite_dl=True, overwrite_d=True, overwrite_du=True, overwrite_b=True,
+    )
+    if info > 0 or np.abs(pivots).min() < LU_PIVOT_TOL:
+        raise SingularTruncation(f"pencil truncation at N={N} is numerically singular")
+    return x.reshape(diag.shape)[..., 0].copy()
+
+
 class TestStackedKernel:
     @pytest.mark.parametrize("count", [1, 7, 512])
     @pytest.mark.parametrize("N", [2, 3, 5, 16, 33, 256])
@@ -580,6 +614,22 @@ class TestStackedKernel:
         assert got.shape == ref.shape == (2, count)
         for got_row, ref_row in zip(got, ref):
             assert np.array_equal(got_row.view(np.uint64), ref_row.view(np.uint64))
+
+    @pytest.mark.parametrize("N", [2, 3, 5, 32, 33, 64, 256])
+    def test_bands_give_the_copied_band_solution_bit_for_bit(self, rng, monkeypatch, N):
+        Z, dZ = kernel_points(rng, 300)
+        Z[7] = PIVOTING_POINT
+        # signed zeros in every coordinate, and real points
+        Z[10:20] = np.where(rng.random((10, 4)) < 0.5, 0.0, -0.0) + Z[10:20].imag * 1j
+        Z[20:30] = Z[20:30].real
+        got = oracle._klein_form(Z, dZ, N)
+        off, diag = jacobi_blocks(Z, N)
+        ref_off, ref_diag = where_jacobi_blocks(Z, N)
+        for a, b in ((off, ref_off), (diag, ref_diag)):
+            assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        monkeypatch.setattr(oracle, "_klein_solve", copied_band_klein_solve)
+        ref = oracle._klein_form(Z, dZ, N)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     @pytest.mark.parametrize("N", [3, 5, 16, 33])
     def test_pivoting_point_interchanges_rows(self, N):
@@ -1050,15 +1100,131 @@ class TestMarginGridBitwise:
         pts = np.concatenate([with_special_rows(pts), split_test_points(rng, 10)])
         self.assert_bitwise(pts, N)
 
-    @pytest.mark.parametrize("N", [3, 32])
-    def test_one_complex_point_takes_the_complex_branch(self, rng, N):
-        pts = with_special_rows(rng.uniform(-2.0, 2.0, (300, 4))).astype(complex)
-        pts[200, 2] += 1e-3j
-        self.assert_bitwise(pts, N)
-        # the real points of that batch get the 2x2 closed form, which is
-        # not bitwise the Hermitian one
-        real = np.delete(pts, 200, axis=0)
-        assert not np.array_equal(margin_grid(pts, N)[:200], margin_grid(real, N)[:200])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("N", [3, 32, 256])
+    def test_every_row_is_its_own_one_row_call(self, rng, N):
+        # real rows, rows with complex z0 or z3 only, rows with complex z1 or
+        # z2, and non-finite rows of each kind, in one batch
+        real = with_special_rows(rng.uniform(-2.0, 2.0, (150, 4))).astype(complex)
+        normal = real_z1_z2_rows(rng, 150)
+        cplx = with_special_rows(rng.uniform(-2, 2, (150, 4)) + 1j * rng.uniform(-1, 1, (150, 4)))
+        pts = np.concatenate([real, normal, cplx, non_finite_rows(rng)])
+        pts = pts[rng.permutation(len(pts))]
+        got = margin_grid(pts, N)
+        one = np.array([margin_grid(z[None, :], N)[0] for z in pts])
+        assert np.array_equal(got.view(np.uint64), one.view(np.uint64))
+        # a row's route is its own: the real rows have the bits of an all-real
+        # batch, the rows with complex z1 or z2 those of the 2x2 closed form
+        # (two_abs_margin_grid routes a whole batch)
+        for rows in (np.all(pts.imag == 0, axis=1), pts[:, 1:3].imag.any(axis=1)):
+            ref = two_abs_margin_grid(pts[rows], N)
+            assert np.array_equal(got[rows].view(np.uint64), ref.view(np.uint64))
+
+
+def real_z1_z2_rows(rng, count):
+    """Rows with complex z0 and z3 but real z1 and z2, with special rows
+    (z1 = 0, z2 = 0, z0 = z3, z0 = -z3, z1 = z2 = 0) and real z0 or z3."""
+    pts = rng.uniform(-2.0, 2.0, (count, 4)) + 1j * rng.uniform(-1.0, 1.0, (count, 4))
+    pts = with_special_rows(pts)
+    pts[:, 1:3] = pts[:, 1:3].real
+    pts[3::20, 1:3] = 0.0
+    pts[8::20, 0] = pts[8::20, 0].real
+    pts[13::20, 3] = pts[13::20, 3].real
+    return pts
+
+
+def non_finite_rows(rng):
+    """Rows with a NaN or inf coordinate: all real, with complex z0 or z3
+    only, and with complex z1 or z2, a NaN or inf real or imaginary part at
+    each coordinate."""
+    rows = []
+    for kind in range(3):
+        for bad in (np.nan, np.inf, -np.inf):
+            for col in range(4):
+                for imag in (False, True):
+                    z = rng.uniform(-2.0, 2.0, 4).astype(complex)
+                    if kind == 1:
+                        z[[0, 3]] += 1j * rng.uniform(-1.0, 1.0, 2)
+                    elif kind == 2:
+                        z += 1j * rng.uniform(-1.0, 1.0, 4)
+                    z[col] = complex(z[col].real, bad) if imag else complex(bad, z[col].imag)
+                    rows.append(z)
+    return np.array(rows)
+
+
+def normal_full_scan(pts, N):
+    """The margins of rows with real z1 and z2 from every grid angle:
+    hypot(min_k ||Re d| - |w_k||, Im d) per block, w_k = z1 up_k + z2 with
+    margin_grid's arithmetic, and the smaller of the two blocks."""
+    pts = np.asarray(pts, dtype=complex)
+    up = np.exp(1j * fft_angles(N))
+    z0, z1, z2, z3 = (pts[:, i, None] for i in range(4))
+    aw = np.abs(z1 * up + z2)
+    blocks = (z0 + z3, z0 - z3)
+    sv = [np.hypot(np.abs(np.abs(d.real) - aw).min(axis=1), d[:, 0].imag) for d in blocks]
+    return np.minimum(*sv)
+
+
+class TestRealZ1Z2Rows:
+    """Rows with real z1 and z2 have normal blocks d I + H, H Hermitian,
+    whatever z0 and z3: they take the bracket and the full scan of real
+    points, with hypot(., Im d) per block after the minimum."""
+
+    @pytest.mark.parametrize("N", [2, 3, 8, 32])
+    def test_match_svd(self, rng, N):
+        L1, L2 = loops.loop_L1(), loops.loop_L2()
+        samples = [lp.points(np.arange(64) / 64) for lp in (L1, L2)]
+        pts = np.concatenate([real_z1_z2_rows(rng, 200)] + samples)
+        assert np.count_nonzero(pts[:, 1] * pts[:, 2] == 0) >= 130
+        got = margin_grid(pts, N)
+        ref = reference_margins(pts, N, False)
+        assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+        assert np.all(got[-128:] > 0.05)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 33, 1024, 4096])
+    def test_bracket_bitwise_the_full_scan(self, rng, N):
+        # z1 = z2 = 0 (signed zeros, and NaN or inf in z0 or z3) gives w = 0
+        # at every angle, so those rows are bracketed whatever N
+        axis = rng.uniform(-2.0, 2.0, (16, 4)).astype(complex)
+        axis[:, 1:3] = np.where(rng.random((16, 2)) < 0.5, 0.0, -0.0)
+        axis[np.arange(12, 16), [0, 3, 3, 0]] = [np.nan, np.inf, -np.inf, np.nan]
+        pts = np.concatenate([bracket_test_rows(rng, N), axis])
+        # complex z0 and z3 on the finite rows, keeping |Re(z0 +- z3)|; the
+        # bracket decides by the real parts alone
+        finite = np.isfinite(pts).all(axis=1)
+        pts[finite, 0] += 1j * rng.uniform(-1.0, 1.0, finite.sum()) * np.abs(pts[finite, 0])
+        pts[finite, 3] += 1j * rng.uniform(-1.0, 1.0, finite.sum())
+        up = np.exp(1j * fft_angles(N))
+        part = np.empty(len(pts))
+        left = oracle._bracket_margins(pts, up, part)
+        real = oracle._bracket_margins(pts.real.astype(complex), up, np.empty(len(pts)))
+        assert np.array_equal(left, real) and 0 < len(left)
+        assert len(left) < len(pts) - len(axis) or N == 1
+        assert not np.isin(np.arange(len(pts) - len(axis), len(pts)), left).any()
+        ref = normal_full_scan(pts, N)
+        got = margin_grid(pts, N)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        done = np.setdiff1d(np.arange(len(pts)), left)
+        assert np.array_equal(part[done].view(np.uint64), ref[done].view(np.uint64))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("N", [1, 3, 32])
+    def test_non_finite_rows_as_one_row_batches(self, rng, N):
+        # a non-finite row takes the route a batch of its own took: the
+        # real-point scan if it is all real, else the 2x2 closed form
+        pts = non_finite_rows(rng)
+        got = margin_grid(pts, N)
+        ref = np.array([two_abs_margin_grid(z[None, :], N)[0] for z in pts])
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_loop_samples_take_no_2x2_form(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a row with real z1 and z2 took the 2x2 closed form")
+
+        monkeypatch.setattr(oracle, "_block_sigma_min", refused)
+        for loop in (loops.loop_L1(), loops.loop_L2()):
+            margin_grid(loop.points(np.arange(512) / 512), 32)
 
 
 def bracket_test_rows(rng, N):

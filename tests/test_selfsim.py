@@ -423,6 +423,23 @@ class TestLevelQuotient:
                     image = walk(g, word)
                     assert vec[i] == sum(x * 4 ** (n - 1 - j) for j, x in enumerate(image))
 
+    @pytest.mark.parametrize("alt", [False, True])
+    def test_level_walk_is_the_letter_by_letter_action(self, rng, alt):
+        action = alt_tau_action() if alt else TreeAction()
+        walk = action.act if alt else act_on_word
+        level_walk = action.act_on_level if alt else selfsim.act_on_level
+        assert np.array_equal(level_walk(GEN_A, 0), [0])
+        for n in range(1, 5):
+            words = [tuple(int(c) for c in np.base_repr(i, 4).zfill(n)) for i in range(4**n)]
+            for g in edge_elements(n) + seeded_elements(rng, 4, 10**4):
+                walked = level_walk(g, n)
+                assert walked.dtype == np.int64
+                for i, word in enumerate(words):
+                    image = walk(g, word)
+                    assert walked[i] == sum(x * 4 ** (n - 1 - j) for j, x in enumerate(image))
+        with pytest.raises(LevelTooLarge):
+            level_walk(GEN_U, MAX_LEVEL + 1)
+
     def test_caches_bounded_by_the_group(self, rng):
         action = TreeAction()
         for g in seeded_elements(rng, 2000, 10**12):
