@@ -40,7 +40,7 @@ class CriterionResult:
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return f"{status} criterion {self.number}: {self.name} ({self.seconds:.1f}s)"
+        return f"{status} criterion {self.number}: {self.name} ({1e3 * self.seconds:.1f} ms)"
 
 
 def _rng(config: RunConfig, criterion: int) -> np.random.Generator:
@@ -378,8 +378,10 @@ def run_all(
     only: Sequence[int] | None = None,
     echo: Callable[[str], None] | None = print,
 ) -> List[CriterionResult]:
+    """Run the criteria numbered in ``only`` (all by default), each once and
+    in ascending order, echoing each one's line."""
     config = config or RunConfig()
-    numbers = sorted(only) if only else sorted(CRITERIA)
+    numbers = sorted(set(only)) if only else sorted(CRITERIA)
     results = []
     for num in numbers:
         if num not in CRITERIA:

@@ -28,8 +28,10 @@ The margins (``margin_grid``) route each point by its own blocks: where z1
 and z2 are real, wbar = conj(w), each block is d I plus a Hermitian matrix,
 hence normal, and |w(theta)| is monotone in cos(theta), so its margin
 evaluates only the few grid angles that bracket the minimum, with the bits
-of a scan of all N; only a point with complex z1 or z2 takes the general
-2x2 closed form.  A point's margin does not depend on its batch.
+of a scan of all N; a finite point with z1 = z2 = 0 has w = 0 and blocks
+(z0 +- z3) I, so its margin min |z0 +- z3| is read with no angle at all;
+only a point with complex z1 or z2 takes the general 2x2 closed form.  A
+point's margin does not depend on its batch.
 
 The oracle trace and period values come from the group structure of the
 truncation alone, neither the DFT nor the 2x2 symbol, so they stay
@@ -71,6 +73,9 @@ r z1, r z2 alternating off the diagonal, and a trace needs one column of
 each (``_klein_form``):
 
     Tr(P^-1 X) = N sum_{s,r} (P_{s,r}^-1 X_{s,r} e_0)_0.
+
+At a point with z1 = z2 = 0 (L1, L2 and every axis loop) each block is
+(z0 + s z3) I, and its first row alone is solved, as a 1 x 1 system.
 
 SciPy is imported on the first block solve only (``_gtsv``,
 ``CirculantPencil.lu``), so the closed-form and symbol routes never load
@@ -479,6 +484,11 @@ def margin_grid(points: np.ndarray, N: int) -> np.ndarray:
     coordinate, or an overflow), get the full scan, which takes |w| once
     for both blocks and never forms wbar.
 
+    A finite row with z1 = z2 = 0 is taken before the bracket: each block
+    is d I, and its margin min(hypot(Re d, Im d)) over d = z0 +- z3 has
+    the full scan's bits, as |w| = 0 at every angle and hypot(x, 0) = |x|.
+    Such a row with a NaN or inf coordinate keeps its route above.
+
     A row with complex z1 or z2, or with a non-finite coordinate and a
     complex one, takes the 2x2 closed form |det| / sigma_max at every angle
     (``_block_sigma_min``), with |w|^2 and |wbar|^2 taken once for both
@@ -498,9 +508,14 @@ def margin_grid(points: np.ndarray, N: int) -> np.ndarray:
     finite = np.isfinite(pts)
     finite = finite[:, 0] & finite[:, 1] & finite[:, 2] & finite[:, 3]
     normal = ~(imag[:, 1] | imag[:, 2]) & (~(imag[:, 0] | imag[:, 3]) | finite)
-    up = np.exp(1j * fft_angles(N))
     out = np.empty(len(pts))
-    rows = np.flatnonzero(normal)
+    # finite rows with z1 = z2 = 0: w = 0 at every angle, each block is d I
+    diagonal = finite & (pts[:, 1] == 0.0) & (pts[:, 2] == 0.0)
+    rows = np.flatnonzero(diagonal)
+    dp, dm = pts[rows, 0] + pts[rows, 3], pts[rows, 0] - pts[rows, 3]
+    out[rows] = np.minimum(np.hypot(dp.real, dp.imag), np.hypot(dm.real, dm.imag))
+    up = np.exp(1j * fft_angles(N))
+    rows = np.flatnonzero(normal & ~diagonal)
     part = np.empty(len(rows))
     scan = rows[_bracket_margins(pts[rows], up, part)]
     out[rows] = part
@@ -586,12 +601,14 @@ def _klein_form(Z, dZ, N: int) -> np.ndarray:
     0 heads the path, and X_{s,r} e_0 = (dz0 + s dz3 + r dz2) e_0 + r dz1 e_1.
 
     The samples go through in chunks of max(1, KLEIN_ROWS // 4N), and the
-    4 blocks of each sample in a chunk through one LAPACK gtsv
-    (``_klein_solve``), so a solve's memory is O(KLEIN_ROWS) whatever n is.
-    Every block gets the arithmetic of its own solve, so the chunking, like
-    the stacking, leaves each sample's values bit for bit as if it were
-    solved alone.  All four blocks are solved, as phi~ too needs all of P
-    invertible.
+    4 blocks of the samples of a chunk through at most two LAPACK gtsv
+    (``_klein_solve``): one of 1 x 1 blocks for the samples with
+    z1 = z2 = 0, one of N x N blocks for the others.  So a solve's memory
+    is O(KLEIN_ROWS) whatever n is.  Every block gets the arithmetic of its
+    own solve, so the chunking, like the stacking, leaves each sample's
+    finite values bit for bit as if it were solved alone (up to the sign of
+    a zero part, see ``_klein_solve``).  All four blocks are solved, as
+    phi~ too needs all of P invertible.
     """
     _check_size(N)  # before N sizes the chunks
     Z = np.asarray(Z, dtype=complex).reshape(-1, 4)
@@ -607,38 +624,68 @@ def _klein_form(Z, dZ, N: int) -> np.ndarray:
 
 def _klein_solve(Z, dZ, N: int) -> np.ndarray:
     """y_{s,r} = (P_{s,r}^-1 X_{s,r} e_0)_0 for points Z and tangents dZ
-    (n, 4), of shape (n, 4) in KLEIN_BLOCKS order, from one gtsv.
+    (n, 4), of shape (n, 4) in KLEIN_BLOCKS order, from at most two gtsv.
 
-    All 4n blocks are laid end to end as one tridiagonal system of size
-    4nN whose bands are exactly 0 between consecutive blocks.  At a zero
-    subdiagonal entry gtsv eliminates nothing and interchanges no rows, and
-    every back-substitution term that reaches across it is multiplied by
-    that exact 0, so each block gets the arithmetic of its own solve.  gtsv
-    also returns U's diagonal, each block's pivots in turn;
-    SingularTruncation is raised for an exactly zero pivot (info > 0: gtsv
-    stops there and leaves the later blocks unsolved) or one below
-    LU_PIVOT_TOL.  As in dense getrf, partial pivoting keeps |L| <= 1, so a
-    pivot u_kk leaves the first k columns of the row-permuted block within
-    |u_kk| |L e_k| <= sqrt(2) |u_kk| of rank k - 1: the block's smallest
-    singular value is below sqrt(2) |u_kk|, as for a block solved alone.
+    Each row takes its route from its own z1 and z2.  Where z1 = z2 = 0,
+    every block is P_{s,r} = (z0 + s z3) I, so its first row alone gives
+    y_{s,r}: the 4 blocks of such a row are 1 x 1 systems, diagonal
+    d + r z2 as ``_klein_bands`` writes it and right-hand side
+    dz0 + s dz3 + r dz2, and the other N - 1 rows of a block, whose
+    pivots all have modulus |d|, are not solved.  The other rows solve
+    their blocks at size N.  Both go through ``_stacked_solve``, which
+    divides as gtsv does (numpy's complex divide rounds otherwise), so a
+    row's finite values are bit for bit those of its N-row solve, but for
+    the sign of a zero part: on either route, that sign can come from the
+    terms 0 times the next row's solution, so it is not pinned.
     """
-    # each block's N - 1 off-diagonals, then the exact 0 that couples it to
-    # the next; gtsv overwrites both bands, so they are two arrays
-    band, diag = _klein_bands(Z, N)
+    s, r = np.array(KLEIN_BLOCKS, dtype=float).T
+    b0 = dZ[:, 0, None] + s * dZ[:, 3, None] + r * dZ[:, 2, None]
+    y = np.empty(b0.shape, dtype=complex)
+    diagonal = (Z[:, 1] == 0.0) & (Z[:, 2] == 0.0)
+    rows = np.flatnonzero(diagonal)
+    if len(rows):
+        z0, z2, z3 = (Z[rows, i, None, None] for i in (0, 2, 3))
+        d = (z0 + s[:, None] * z3) + r[:, None] * z2
+        band = np.zeros(d.shape, dtype=complex)
+        y[rows] = _stacked_solve(band, d, b0[rows, :, None], N)
+    rows = np.flatnonzero(~diagonal)
+    if len(rows):
+        band, diag = _klein_bands(Z[rows], N)
+        rhs = np.zeros(diag.shape, dtype=complex)
+        rhs[..., 0] = b0[rows]
+        rhs[..., 1] = r * dZ[rows, 1, None]
+        y[rows] = _stacked_solve(band, diag, rhs, N)
+    return y
+
+
+def _stacked_solve(band, diag, rhs, N: int) -> np.ndarray:
+    """The first entries of the solutions of the blocks (n, 4, m) laid end
+    to end as one tridiagonal system of size 4nm, from one gtsv; ``band``
+    holds each block's m - 1 off-diagonals (the blocks are symmetric) and
+    then the exact 0 that couples it to the next.
+
+    At a zero subdiagonal entry gtsv eliminates nothing and interchanges no
+    rows, and every back-substitution term that reaches across it is
+    multiplied by that exact 0, so each block gets the arithmetic of its
+    own solve.  gtsv also returns U's diagonal, each block's pivots in
+    turn; SingularTruncation (naming the truncation size N) is raised for
+    an exactly zero pivot (info > 0: gtsv stops there and leaves the later
+    blocks unsolved) or one below LU_PIVOT_TOL.  As in dense getrf, partial
+    pivoting keeps |L| <= 1, so a pivot u_kk leaves the first k columns of
+    the row-permuted block within |u_kk| |L e_k| <= sqrt(2) |u_kk| of rank
+    k - 1: the block's smallest singular value is below sqrt(2) |u_kk|, as
+    for a block solved alone.
+    """
+    # gtsv overwrites both bands, so they are two arrays
     lower = band.reshape(-1)[:-1]
     upper = lower.copy()
-    s, r = np.array(KLEIN_BLOCKS, dtype=float).T
-    rhs = np.zeros(diag.shape, dtype=complex)
-    rhs[..., 0] = dZ[:, 0, None] + s * dZ[:, 3, None] + r * dZ[:, 2, None]
-    rhs[..., 1] = r * dZ[:, 1, None]
     _, pivots, _, x, info = _gtsv()(
         lower, diag.reshape(-1), upper, rhs.reshape(-1),
         overwrite_dl=True, overwrite_d=True, overwrite_du=True, overwrite_b=True,
     )
     if info > 0 or np.abs(pivots).min() < LU_PIVOT_TOL:
         raise SingularTruncation(f"pencil truncation at N={N} is numerically singular")
-    # a copy, not a view that keeps all of x alive
-    return x.reshape(diag.shape)[..., 0].copy()
+    return x.reshape(diag.shape)[..., 0]
 
 
 def oracle_functional(z, word: str, functional, N: int) -> complex:

@@ -66,7 +66,8 @@ def test_criterion_6_specifics(results):
 def test_criterion_6_solves_each_oracle_grid_once(monkeypatch):
     # each stacked gtsv gives both functionals for KLEIN_ROWS // 4N = 128
     # samples: L1 and L2 solve their 512 steps, then only the 512 new ones
-    # of the 1024-step grid, 8 chunks per loop
+    # of the 1024-step grid, 8 chunks per loop; the loops lie in the
+    # z1 = z2 = 0 plane, so each sample's 4 Klein blocks are 1 x 1 systems
     calls = []
     gtsv = oracle._gtsv()
 
@@ -76,7 +77,14 @@ def test_criterion_6_solves_each_oracle_grid_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "_gtsv", lambda: counted)
     assert criterion_6(RunConfig()).passed
-    assert calls == [4 * 32 * 128] * 16
+    assert calls == [4 * 128] * 16
+
+
+def test_line_reports_milliseconds():
+    result = acceptance.CriterionResult(2, "p is a resolvent point", True, 0.01234)
+    assert result.line() == "PASS criterion 2: p is a resolvent point (12.3 ms)"
+    result = dataclasses.replace(result, passed=False, seconds=1.5)
+    assert result.line() == "FAIL criterion 2: p is a resolvent point (1500.0 ms)"
 
 
 def test_criterion_9_specifics(results):

@@ -227,6 +227,14 @@ class TestVerifyCommand:
         assert payload["all_passed"] is True
         assert payload["criteria"][0]["number"] == 2
 
+    def test_repeated_criterion_runs_once(self, capsys, tmp_path):
+        once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+        for f, only in ((once, "2"), (twice, "2,2")):
+            code, out, _ = run_cli(capsys, "verify", "--only", only, "--out", str(f))
+            assert code == 0
+            assert len(out.splitlines()) == 1
+        assert twice.read_bytes() == once.read_bytes()
+
 
 class TestErratumCommand:
     def test_report_content(self, capsys):

@@ -660,6 +660,180 @@ class TestStackedKernel:
             oracle._klein_form(Z, dZ, N)
 
 
+# _klein_solve as it was before rows with z1 = z2 = 0 took 1 x 1 systems,
+# the N-row route for every row: kept verbatim as the bitwise reference
+def n_row_klein_solve(Z, dZ, N):
+    # each block's N - 1 off-diagonals, then the exact 0 that couples it to
+    # the next; gtsv overwrites both bands, so they are two arrays
+    band, diag = oracle._klein_bands(Z, N)
+    lower = band.reshape(-1)[:-1]
+    upper = lower.copy()
+    s, r = np.array(KLEIN_BLOCKS, dtype=float).T
+    rhs = np.zeros(diag.shape, dtype=complex)
+    rhs[..., 0] = dZ[:, 0, None] + s * dZ[:, 3, None] + r * dZ[:, 2, None]
+    rhs[..., 1] = r * dZ[:, 1, None]
+    _, pivots, _, x, info = GTSV(
+        lower, diag.reshape(-1), upper, rhs.reshape(-1),
+        overwrite_dl=True, overwrite_d=True, overwrite_du=True, overwrite_b=True,
+    )
+    if info > 0 or np.abs(pivots).min() < LU_PIVOT_TOL:
+        raise SingularTruncation(f"pencil truncation at N={N} is numerically singular")
+    # a copy, not a view that keeps all of x alive
+    return x.reshape(diag.shape)[..., 0].copy()
+
+
+def chunked(solve, Z, dZ, N):
+    """``solve`` over the chunks that _klein_form hands _klein_solve."""
+    step = max(1, oracle.KLEIN_ROWS // (4 * N))
+    return np.concatenate(
+        [solve(Z[lo : lo + step], dZ[lo : lo + step], N) for lo in range(0, len(Z), step)]
+    )
+
+
+def signed_zeros(rng, shape):
+    """Complex zeros with each part +0 or -0 at random."""
+    out = np.empty(shape, dtype=complex)
+    out.real = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    out.imag = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    return out
+
+
+def diagonal_rows(rng, count):
+    """Seeded points with z1 = z2 = 0, each zero of either sign in both
+    parts, and tangents with nonzero dz1 and dz2.  Every fifth row from the
+    second on has a signed-zero Im z0, from the third on a signed-zero
+    Re z0, and from the fourth on signed-zero Im z0 and Im z3 (so the
+    block diagonals d = z0 + s z3 can hold a -0) and a word's one-hot
+    tangent, as a trace at a real point has."""
+    Z = rng.uniform(-2, 2, (count, 4)) + 1j * rng.uniform(-1, 1, (count, 4))
+    Z[:, 1:3] = signed_zeros(rng, (count, 2))
+    Z.imag[1::5, 0] = signed_zeros(rng, len(Z[1::5])).imag
+    Z.real[2::5, 3] = signed_zeros(rng, len(Z[2::5])).real
+    Z.imag[3::5, 0::3] = signed_zeros(rng, (len(Z[3::5]), 2)).imag
+    dZ = rng.normal(size=(count, 4)) + 1j * rng.normal(size=(count, 4))
+    dZ[3::5] = np.eye(4)[np.arange(len(dZ[3::5])) % 4]
+    return Z, dZ
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# a single-cut circle off the z1 = z2 = 0 plane: its periods are (Tr, phi~)
+# = (1, -1) quanta, and every sample solves N-row Klein blocks
+OFF_PLANE_LOOP = loops.circle_loop([4, 1, 0.5, 5], 0.6, ["z0"], steps=128, name="off-plane")
+
+
+class TestDiagonalRows:
+    """Rows with z1 = z2 = 0 solve their 4 Klein blocks (z0 + s z3) I as
+    1 x 1 systems, with the bits of the N-row solve."""
+
+    @pytest.mark.parametrize("N", [2, 3, 5, 32, 33, 64, 256])
+    def test_loop_samples_bit_for_bit(self, N):
+        for loop in [loops.loop_L1(), loops.loop_L2()] + loops.random_axis_loops(3, 20):
+            s = np.arange(1024) / 1024
+            Z, dZ = loop.points(s), np.asarray(loop.dfn(s), dtype=complex)
+            got = chunked(oracle._klein_solve, Z, dZ, N)
+            assert bitwise_equal(got, chunked(n_row_klein_solve, Z, dZ, N)), loop.name
+
+    @pytest.mark.parametrize("N", [2, 3, 5, 32, 33])
+    def test_signed_zeros_and_tangents_bit_for_bit(self, rng, N):
+        Z, dZ = diagonal_rows(rng, 1024)
+        got = chunked(oracle._klein_solve, Z, dZ, N)
+        assert bitwise_equal(got, chunked(n_row_klein_solve, Z, dZ, N))
+
+    @pytest.mark.parametrize("N", [2, 3, 32])
+    def test_zero_right_hand_side_gives_zero(self, rng, N):
+        # dz0 + s dz3 + r dz2 = 0 exactly: y is 0 on both routes; where a
+        # part of it is -0, the sign of a zero y is not pinned, as the N-row
+        # solve takes it from the next block's solution (0 times it)
+        Z, dZ = diagonal_rows(rng, 256)
+        dZ[:, [0, 2, 3]] = signed_zeros(rng, (256, 3))
+        got = chunked(oracle._klein_solve, Z, dZ, N)
+        assert np.all(got == 0) and np.all(chunked(n_row_klein_solve, Z, dZ, N) == 0)
+
+    @pytest.mark.parametrize("N", [2, 3, 16, 33])
+    def test_every_row_in_a_mixed_batch_is_its_own_one_row_call(self, rng, N):
+        Z, dZ = kernel_points(rng, 60)
+        Z[7] = PIVOTING_POINT
+        diag, ddiag = diagonal_rows(rng, 60)
+        order = rng.permutation(120)
+        Z, dZ = np.concatenate([Z, diag])[order], np.concatenate([dZ, ddiag])[order]
+        got = oracle._klein_solve(Z, dZ, N)
+        one = [oracle._klein_solve(Z[i : i + 1], dZ[i : i + 1], N) for i in range(120)]
+        one = np.concatenate(one)
+        assert bitwise_equal(got, one)
+        assert bitwise_equal(got, n_row_klein_solve(Z, dZ, N))
+
+    @pytest.mark.parametrize(
+        "z3",
+        # z0 - z3 = 0 exactly (gtsv's info > 0) and 5e-13 (a pivot below
+        # LU_PIVOT_TOL): the tau-odd blocks are singular
+        [1.5, 1.5 - 5e-13],
+        ids=["zero-pivot", "small-pivot"],
+    )
+    @pytest.mark.parametrize("N", [2, 8])
+    def test_singular_diagonal_row_raises(self, rng, monkeypatch, N, z3):
+        Z, dZ = diagonal_rows(rng, 7)
+        Z[3] = (1.5, 0.0, 0.0, z3)
+        with pytest.raises(SingularTruncation) as ref:
+            n_row_klein_solve(Z, dZ, N)
+        sizes = []
+        gtsv = oracle._gtsv()
+
+        def counted(*arrays, **kw):
+            sizes.append(len(arrays[1]))
+            return gtsv(*arrays, **kw)
+
+        monkeypatch.setattr(oracle, "_gtsv", lambda: counted)
+        with pytest.raises(SingularTruncation) as got:
+            oracle._klein_solve(Z, dZ, N)
+        assert str(got.value) == str(ref.value)
+        assert sizes == [4 * 7]
+        with pytest.raises(SingularTruncation):
+            oracle_trace(Z[3], "e", N)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("N", [2, 5, 32])
+    def test_non_finite_rows_as_today(self, N):
+        # NaN or inf at each coordinate, on and off the z1 = z2 = 0 plane
+        rows = []
+        for col in range(4):
+            for bad in (np.nan, complex(0.0, np.nan), np.inf, -np.inf, complex(1.0, np.inf)):
+                for z1 in (0.0, 0.7):
+                    z = np.array([2.0 + 0.3j, z1, 0.0, -0.5 + 0.1j])
+                    z[col] = bad
+                    rows.append(z)
+        dz = np.array([1.0, 0.5, -0.25, 2j])
+        for z in rows:
+            try:
+                ref = n_row_klein_solve(z[None, :], dz[None, :], N)
+            except SingularTruncation:
+                with pytest.raises(SingularTruncation):
+                    oracle._klein_solve(z[None, :], dz[None, :], N)
+                continue
+            assert bitwise_equal(oracle._klein_solve(z[None, :], dz[None, :], N), ref), z
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 32, 256])
+    def test_margins_bitwise_the_full_scan(self, rng, monkeypatch, N):
+        # real and complex z0 and z3, signed zeros in z1 and z2, and
+        # criterion 6's samples; none of them reaches the bracket
+        Z, _ = diagonal_rows(rng, 2000)
+        real = Z.real.astype(complex)
+        real[:, 1:3] = Z[:, 1:3]
+        s = np.arange(1024) / 1024
+        samples = [loop.points(s) for loop in (loops.loop_L1(), loops.loop_L2())]
+        pts = np.concatenate([Z, real] + samples)
+        bracket = oracle._bracket_margins
+
+        def finite_off_plane(pts, up, out):
+            assert not (np.isfinite(pts).all(axis=1) & (pts[:, 1] == 0) & (pts[:, 2] == 0)).any()
+            return bracket(pts, up, out)
+
+        monkeypatch.setattr(oracle, "_bracket_margins", finite_off_plane)
+        assert bitwise_equal(margin_grid(pts, N), normal_full_scan(pts, N))
+
+
 def path_generators(N):
     """The generator joining positions i and i + 1 of the path, and the one
     fixing each fixed position: J: m -> -m, K: m -> 1 - m (mod N)."""
@@ -866,11 +1040,13 @@ class TestOraclePeriods:
         val = oracle_period(loop, N=16)[TR]
         assert abs(val - reference_canonical_period(loop, 16)) <= 1e-12
 
-    def test_one_tridiagonal_solve_per_grid(self, monkeypatch):
+    @staticmethod
+    def assert_one_solve_per_grid(monkeypatch, loop, rows):
         # one gtsv per grid for both functionals, on all 4 S Klein blocks of
-        # its S new samples end to end, solved in place: 128 and 256 steps,
-        # at most KLEIN_ROWS // 4N = 256 samples per gtsv, and the second
-        # grid solves only its 128 new samples
+        # its S new samples end to end, each block of ``rows`` rows, solved
+        # in place: 128 and 256 steps, at most KLEIN_ROWS // 4N = 256
+        # samples per gtsv, and the second grid solves only its 128 new
+        # samples
         calls = []
         gtsv = oracle._gtsv()
 
@@ -879,14 +1055,20 @@ class TestOraclePeriods:
             return gtsv(*arrays, **kw)
 
         monkeypatch.setattr(oracle, "_gtsv", lambda: counted)
-        N = 16
-        assert set(oracle_period(loops.loop_L1(128), N=N)) == set(FunctionalKind)
+        assert set(oracle_period(loop, N=16)) == set(FunctionalKind)
         assert len(calls) == 2
         for S, (shapes, kw) in zip((128, 128), calls):
-            size = 4 * S * N
+            size = 4 * S * rows
             assert shapes == ((size - 1,), (size,), (size - 1,), (size,))
             flags = ("overwrite_dl", "overwrite_d", "overwrite_du", "overwrite_b")
             assert all(kw.get(flag) for flag in flags)
+
+    def test_one_tridiagonal_solve_per_grid(self, monkeypatch):
+        # L1 lies in the z1 = z2 = 0 plane, so its blocks are 1 x 1
+        self.assert_one_solve_per_grid(monkeypatch, loops.loop_L1(128), 1)
+
+    def test_a_loop_off_the_diagonal_plane_solves_n_row_blocks(self, monkeypatch):
+        self.assert_one_solve_per_grid(monkeypatch, OFF_PLANE_LOOP, 16)
 
 
 # grid angles and off-grid angles
