@@ -39,6 +39,12 @@ class LevelTooLarge(DinfhError):
     """Raised when a tree level exceeds the desk-scale cap."""
 
 
+class UnpairedOrbit(DinfhError):
+    """Raised when tau does not pair a tree level's <a, t>-orbits: M(tau)
+    is not an involution commuting with M(a) and M(t), or it maps an orbit
+    onto itself other than pointwise."""
+
+
 class TruncationTooLarge(DinfhError):
     """Raised when a dense truncation size exceeds MAX_DENSE_N."""
 

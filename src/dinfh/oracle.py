@@ -670,11 +670,13 @@ def _stacked_solve(band, diag, rhs, N: int) -> np.ndarray:
     own solve.  gtsv also returns U's diagonal, each block's pivots in
     turn; SingularTruncation (naming the truncation size N) is raised for
     an exactly zero pivot (info > 0: gtsv stops there and leaves the later
-    blocks unsolved) or one below LU_PIVOT_TOL.  As in dense getrf, partial
-    pivoting keeps |L| <= 1, so a pivot u_kk leaves the first k columns of
-    the row-permuted block within |u_kk| |L e_k| <= sqrt(2) |u_kk| of rank
-    k - 1: the block's smallest singular value is below sqrt(2) |u_kk|, as
-    for a block solved alone.
+    blocks unsolved), one below LU_PIVOT_TOL, or a NaN one.  As in dense
+    getrf, partial pivoting keeps |L| <= 1, so a pivot u_kk leaves the
+    first k columns of the row-permuted block within |u_kk| |L e_k| <=
+    sqrt(2) |u_kk| of rank k - 1: the block's smallest singular value is
+    below sqrt(2) |u_kk|, as for a block solved alone.  A NaN pivot comes
+    from a non-finite sample, whose NaN solution reaches every earlier
+    block of the system through the exact-0 coupling (0 * NaN = NaN).
     """
     # gtsv overwrites both bands, so they are two arrays
     lower = band.reshape(-1)[:-1]
@@ -683,7 +685,8 @@ def _stacked_solve(band, diag, rhs, N: int) -> np.ndarray:
         lower, diag.reshape(-1), upper, rhs.reshape(-1),
         overwrite_dl=True, overwrite_d=True, overwrite_du=True, overwrite_b=True,
     )
-    if info > 0 or np.abs(pivots).min() < LU_PIVOT_TOL:
+    # not >=: a NaN pivot (a non-finite sample) raises too
+    if info > 0 or not np.abs(pivots).min() >= LU_PIVOT_TOL:
         raise SingularTruncation(f"pencil truncation at N={N} is numerically singular")
     return x.reshape(diag.shape)[..., 0]
 
@@ -767,13 +770,14 @@ def trapezoid_periods(loop: LoopPath, guard, form, what: str) -> dict:
     1-form.  On a grid of n steps (first ``loop.steps``), the samples Z =
     z(j/n) and z'(j/n) come from ``loop.fn`` and ``loop.dfn``; ``guard(Z)``
     gives the spectrum margins of samples Z (m, 4), and LoopHitsSpectrum is
-    raised at one <= 1e-9; ``form(Z, dZ)``, with dZ = z'(s), gives the
-    1-forms of shape (2, m) in FunctionalKind order, and their periodic
-    trapezoid means are the grid's two periods.  Steps double through
-    ``refine`` until both periods agree to PERIOD_TARGET (NonConvergent if
-    either still misses at MAX_STEPS), then one Richardson step.  A first
-    grid above MAX_STEPS raises GridTooLarge, and one below 8 steps or an
-    open loop ValueError (``LoopPath.check``), before any sample is taken.
+    raised unless all exceed 1e-9 (so also at a NaN one); ``form(Z, dZ)``,
+    with dZ = z'(s), gives the 1-forms of shape (2, m) in FunctionalKind
+    order, and their periodic trapezoid means are the grid's two periods.
+    Steps double through ``refine`` until both periods agree to
+    PERIOD_TARGET (NonConvergent if either still misses at MAX_STEPS), then
+    one Richardson step.  A first grid above MAX_STEPS raises
+    GridTooLarge, and one below 8 steps or an open loop ValueError
+    (``LoopPath.check``), before any sample is taken.
 
     As the samples and z' at s = j/n depend on j/n alone, each doubling
     samples, guards and evaluates only its new odd steps.
@@ -786,7 +790,8 @@ def trapezoid_periods(loop: LoopPath, guard, form, what: str) -> dict:
         s = j / nsteps
         Z = loop.points(s)
         margin = guard(Z).min()
-        if margin <= 1e-9:
+        # not >: a NaN margin (a non-finite sample) raises too
+        if not margin > 1e-9:
             raise LoopHitsSpectrum(f"{what}: sample margin {margin:.3e}")
         return form(Z, np.asarray(loop.dfn(s), dtype=complex))
 

@@ -29,29 +29,44 @@ full pencil (-lambda, z1, z2, z3) - a desk-scale witness that the tree
 (Koopman) representation and the left regular representation have the
 same joint spectrum.
 
-The pencil is solved one orbit at a time.  Its entry (i, j) is nonzero
-only when i = g(j) for a generator g, so each orbit of <a, t, tau> on the
-4^n leaves spans an invariant subspace, and after a permutation of the
-leaves the pencil is the direct sum of its restrictions to the orbits.
-The eigenvalues of those blocks, with multiplicity, are exactly the
-eigenvalues of the pencil.  The orbits come from the group action alone
-(not from the nonzero pattern), so zero coefficients need no special case,
-and the split is plain linear algebra on the permutation representation:
-it uses neither the closed-form spectrum nor the DFT.  Level n has
-2^(n-1) orbits of 2^(n+1) leaves; blocks are grouped by size, so nothing
-depends on that count.
+The pencil is solved on tau-paired orbits of <a, t>.  Its entry (i, j)
+is nonzero only when i = g(j) for a generator g, so each orbit O of
+<a, t> on the 4^n leaves spans a subspace that z1*M(a) + z2*M(t) keeps,
+with restriction P = z1*A_O + z2*T_O.  tau is central and of order two,
+so M(tau) is an involution that commutes with M(a) and M(t); hence tau
+maps O onto an orbit tau(O), and x -> tau(x) carries O's a/t pattern onto
+tau(O): a(tau x) = tau(a x) and t(tau x) = tau(t x).  If tau(O) != O, then
+in the basis (e_x, e_tau(x)), x in O, the pencil on span(O u tau(O)) is
 
-Many orbit blocks are the same matrix: a block is fixed by where each
-generator sends each of its leaves, in the block's local numbering, and
-that (a, t, tau) pattern repeats across orbits (at levels 1-6 all 2^(n-1)
-orbits share one).  ``TreeAction.orbit_blocks`` reduces the orbits of a
-level to their distinct patterns and counts once; ``pencil_level_eigs``
-solves each distinct block once and repeats its eigenvalues by its count,
-so every eigenvalue's multiplicity comes from the block counts.  Identical
+    [[P, z3 I], [z3 I, P]],
+
+which (e_x +- e_tau(x)) / sqrt(2) block-diagonalize into P + z3 I and
+P - z3 I: its eigenvalues are eig(P) + z3 and eig(P) - z3, once each.  If
+tau fixes O pointwise (level 0, where it fixes the root), the block is
+P + z3 I.  A tau that maps an orbit onto itself other than pointwise
+would need another route, and ``TreeAction.orbit_blocks`` raises
+UnpairedOrbit for it, as for a level where M(tau) is not an involution
+commuting with M(a) and M(t): the pairing is checked on the level
+vectors, never assumed.  For this automaton a and t move only the
+dihedral letters x and tau only the order-two letters y, so level n >= 1
+has 2^n orbits of 2^n leaves (one per y-word), paired by tau into
+2^(n-1) pairs.  The orbits come from the group action alone (not from
+the nonzero pattern), so zero coefficients need no special case, and the
+split is plain linear algebra on the permutation representation: it uses
+neither the closed-form spectrum nor the DFT.
+
+Many orbit blocks are the same matrix: a block is fixed by where a and t
+send each of its leaves, in the block's local numbering, and that
+pattern repeats across orbits (at levels 1-6 all 2^(n-1) pairs share
+one).  ``TreeAction.orbit_blocks`` keeps one orbit per tau-pair (the one
+with the smaller label), reduces them to their distinct patterns and
+counts once; ``pencil_level_eigs`` solves each distinct 2^n-leaf block
+once, shifts its eigenvalues by +-z3 and repeats them by its count, so
+every eigenvalue's multiplicity comes from the block counts.  Identical
 matrices have identical eigenvalues, so this is exact whatever the
 spectrum; another automaton would only give more patterns.
 
-Cached level vectors, orbit labels and orbit blocks are read-only, so a
+Cached level vectors, level tables and orbit blocks are read-only, so a
 caller cannot change what later calls return.
 """
 
@@ -62,7 +77,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import LevelTooLarge
+from .errors import LevelTooLarge, UnpairedOrbit
 from .group import GEN_A, GEN_T, GEN_TAU, IDENTITY, GroupElement, mul
 from .spectrum import membership_grid
 
@@ -127,8 +142,8 @@ class TreeAction:
         self._gen = {s: generator_wreath(s) for s in ("a", "t", "tau")}
         self._cache: Dict[GroupElement, WreathElement] = {}
         self._levels: Dict[Tuple[int, int, int, int], np.ndarray] = {}
-        self._orbits: Dict[int, np.ndarray] = {}
-        self._blocks: Dict[int, Tuple[Tuple[np.ndarray, np.ndarray], ...]] = {}
+        self._tables: Dict[int, np.ndarray] = {}
+        self._blocks: Dict[int, Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]] = {}
 
     def _wreath_pow_u(self, k: int) -> WreathElement:
         # square-and-multiply on u = a*t (u^-1 = t*a); powers of u commute.
@@ -214,56 +229,104 @@ class TreeAction:
         self._levels[key] = vec
         return vec
 
-    def orbit_labels(self, n: int) -> np.ndarray:
-        """Orbit of each level-n leaf under <a, t, tau>, named by its
-        smallest leaf (min-label propagation to a fixed point)."""
-        cached = self._orbits.get(n)
-        if cached is not None:
-            return cached
-        vecs = [self.level_matrix(g, n) for g in (GEN_A, GEN_T, GEN_TAU)]
-        lab = np.arange(4**n)
-        while True:
-            new = lab
-            for v in vecs:
-                new = np.minimum(new, new[v])
-            if np.array_equal(new, lab):
-                break
-            lab = new
-        lab.setflags(write=False)
-        self._orbits[n] = lab
-        return lab
+    def level_vectors(self, elements: Sequence[GroupElement], n: int) -> np.ndarray:
+        """Level-n vectors of ``elements``, stacked (len(elements), 4^n).
 
-    def orbit_blocks(self, n: int) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-        """Distinct orbit blocks of the level-n generators, by block size.
+        One gather from the level's table of the vectors of its 4 * 2^n
+        representatives tau^eps t^delta u^k, k < 2^n, row
+        (2*eps + delta) * 2^n + k.  A level's table is built on its first
+        call, through ``level_matrix``, and is read-only.  It copies the
+        level's ``level_matrix`` entries, which stay as they are: making
+        them views of the table frees them, and that alone slowed criterion
+        1, which shares no code with it, by about 0.7 ms.
+        """
+        _check_level(n)
+        period = 1 << n
+        table = self._tables.get(n)
+        if table is None:
+            table = np.stack(
+                [
+                    self.level_matrix(GroupElement(k, t_flag, tau_flag), n)
+                    for tau_flag in (0, 1)
+                    for t_flag in (0, 1)
+                    for k in range(period)
+                ]
+            )
+            table.setflags(write=False)
+            self._tables[n] = table
+        rows = [(2 * g.tau_flag + g.t_flag) * period + g.k % period for g in elements]
+        return table[rows]
 
-        One ``(rows, counts)`` pair per orbit size s: ``rows[j, g, c]`` is the
-        local index, inside its orbit, of the image of the orbit's c-th leaf
-        under generator g (a, t, tau), for the j-th distinct pattern, and
-        ``counts[j]`` is the number of orbits with that pattern.
+    def orbit_blocks(self, n: int) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Distinct <a, t>-orbit blocks of level n, one per tau-pair.
+
+        One ``(rows, counts, shifts)`` triple per orbit size s and tau
+        action: ``rows[j, g, c]`` is the local index, inside its orbit, of
+        the image of the orbit's c-th leaf under generator g (a, t), for
+        the j-th distinct pattern; ``counts[j]`` is the number of kept
+        orbits with that pattern, one per tau-pair (the one with the
+        smaller label) or per orbit that tau fixes pointwise; and each
+        eigenvalue lambda of a block gives the pencil's eigenvalues
+        lambda + shift * z3 for ``shifts`` (1, -1) on pairs and (1,) on
+        fixed orbits.  UnpairedOrbit if M(tau) is not an involution that
+        commutes with M(a) and M(t), or maps an orbit onto itself other
+        than pointwise.
         """
         cached = self._blocks.get(n)
         if cached is not None:
             return cached
-        labels = self.orbit_labels(n)
-        vecs = [self.level_matrix(g, n) for g in (GEN_A, GEN_T, GEN_TAU)]
-        # leaves grouped by orbit; local[i] is leaf i's index inside its block
-        order = np.argsort(labels, kind="stable")
-        _, start, sizes = np.unique(
-            labels[order], return_index=True, return_counts=True
-        )
-        local = np.empty_like(order)
+        vec_a, vec_t, vec_tau = (self.level_matrix(g, n) for g in (GEN_A, GEN_T, GEN_TAU))
+        leaves = np.arange(4**n)
+        if not (
+            np.array_equal(vec_tau[vec_tau], leaves)
+            and np.array_equal(vec_a[vec_tau], vec_tau[vec_a])
+            and np.array_equal(vec_t[vec_tau], vec_tau[vec_t])
+        ):
+            raise UnpairedOrbit(
+                f"level {n}: M(tau) is not an involution commuting with M(a) and M(t)"
+            )
+        labels = orbit_labels([vec_a, vec_t])
+        partner = labels[vec_tau]
+        fixed = partner == labels
+        if np.any(fixed & (vec_tau != leaves)):
+            raise UnpairedOrbit(f"level {n}: tau maps an <a, t>-orbit onto itself, not pointwise")
+        # the kept orbits' leaves grouped by orbit; local[i] is leaf i's
+        # index inside its block
+        kept = np.flatnonzero(fixed | (labels < partner))
+        order = kept[np.argsort(labels[kept], kind="stable")]
+        _, start, sizes = np.unique(labels[order], return_index=True, return_counts=True)
+        local = np.empty_like(leaves)
         local[order] = np.arange(len(order)) - np.repeat(start, sizes)
+        paired = ~fixed[order[start]]
         blocks = []
         for s in np.unique(sizes):
-            # (k, s): the leaves of the k orbits of size s, block by block
-            leaves = order[start[sizes == s][:, None] + np.arange(s)]
-            rows = np.stack([local[vec[leaves]] for vec in vecs], axis=1)
-            rows, counts = np.unique(rows, axis=0, return_counts=True)
-            rows.setflags(write=False)
-            counts.setflags(write=False)
-            blocks.append((rows, counts))
+            for pair in (True, False):
+                first = start[(sizes == s) & (paired == pair)]
+                if not len(first):
+                    continue
+                # (k, s): the leaves of the k kept orbits, block by block
+                members = order[first[:, None] + np.arange(s)]
+                rows = np.stack([local[vec[members]] for vec in (vec_a, vec_t)], axis=1)
+                rows, counts = np.unique(rows, axis=0, return_counts=True)
+                shifts = np.array([1.0, -1.0] if pair else [1.0])
+                for arr in (rows, counts, shifts):
+                    arr.setflags(write=False)
+                blocks.append((rows, counts, shifts))
         self._blocks[n] = tuple(blocks)
         return self._blocks[n]
+
+
+def orbit_labels(vecs: Sequence[np.ndarray]) -> np.ndarray:
+    """Orbit of each leaf under the permutations ``vecs``, named by its
+    smallest leaf (min-label propagation to a fixed point)."""
+    lab = np.arange(len(vecs[0]))
+    while True:
+        new = lab
+        for v in vecs:
+            new = np.minimum(new, new[v])
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
 
 
 _DEFAULT_ACTION = TreeAction()
@@ -302,26 +365,34 @@ def level_matrix(g: GroupElement, n: int) -> LevelMatrix:
     return LevelMatrix(n=n, perm_vector=_DEFAULT_ACTION.level_matrix(g, n))
 
 
+def level_vectors(elements: Sequence[GroupElement], n: int) -> np.ndarray:
+    """Stacked level-n vectors of ``elements`` (``TreeAction.level_vectors``)."""
+    return _DEFAULT_ACTION.level_vectors(elements, n)
+
+
 def _fill_blocks(blocks: np.ndarray, rows: np.ndarray, coeffs) -> None:
     """Add the pencil's coefficients to orbit blocks (..., p, s, s) of the
-    patterns ``rows`` (p, 3, s) from ``TreeAction.orbit_blocks``: coeffs[g]
-    at (rows[j, g, c], c) of block j for each generator g (a, t, tau), a
+    patterns ``rows`` (p, 2, s) from ``TreeAction.orbit_blocks``: coeffs[g]
+    at (rows[j, g, c], c) of block j for each generator g (a, t), a
     scalar or an array broadcast against (..., p, s)."""
-    k, cols = np.ogrid[: rows.shape[0], : rows.shape[2]]
+    # two aranges: np.ogrid costs about 8 us more per call, five calls a tree op
+    k, cols = np.arange(rows.shape[0])[:, None], np.arange(rows.shape[2])
     for g, coeff in enumerate(coeffs):
         blocks[..., k, rows[:, g], cols] += coeff
 
 
 def pencil_level_eigs(z1: float, z2: float, z3: float, n: int) -> np.ndarray:
     """Sorted eigenvalues (with multiplicity) of the level-n pencil
-    z1*M(a) + z2*M(t) + z3*M(tau), solved once per distinct orbit block."""
+    z1*M(a) + z2*M(t) + z3*M(tau): each distinct <a, t>-orbit block
+    z1*A + z2*T is solved once, and its eigenvalues shifted by +-z3."""
     _check_level(n)
     eigs = []
-    for rows, counts in _DEFAULT_ACTION.orbit_blocks(n):
+    for rows, counts, shifts in _DEFAULT_ACTION.orbit_blocks(n):
         p, _, s = rows.shape
         blocks = np.zeros((p, s, s))
-        _fill_blocks(blocks, rows, (z1, z2, z3))
-        eigs.append(np.repeat(np.linalg.eigvalsh(blocks), counts, axis=0).ravel())
+        _fill_blocks(blocks, rows, (z1, z2))
+        lam = np.linalg.eigvalsh(blocks)[..., None] + z3 * shifts
+        eigs.append(np.repeat(lam, counts, axis=0).ravel())
     return np.sort(np.concatenate(eigs))
 
 
@@ -359,24 +430,25 @@ def count_violations(coeffs, n: int, tol: float = 1e-8) -> int:
     in ``coeffs`` (m, 3).
 
     The count of ``validate_eigs_in_spectrum``'s violations over the m
-    pencils, from one stacked ``eigvalsh`` and one ``membership_grid`` call
-    per block size (one size at levels 1-6), on the distinct blocks'
-    eigenvalues, each weighted by its block's orbit count.
+    pencils, from one stacked ``eigvalsh`` of the (m, p, 2^n, 2^n)
+    <a, t>-orbit blocks and one ``membership_grid`` call per layout group
+    (one at levels 1-6), on the distinct blocks' eigenvalues shifted by
+    each pencil's +-z3, each weighted by its block's count.
     """
     _check_level(n)
     coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 3)
     misses = 0
-    for rows, counts in _DEFAULT_ACTION.orbit_blocks(n):
+    for rows, counts, shifts in _DEFAULT_ACTION.orbit_blocks(n):
         p, _, s = rows.shape
         blocks = np.zeros((len(coeffs), p, s, s))
-        _fill_blocks(blocks, rows, coeffs.T[:, :, None, None])
+        _fill_blocks(blocks, rows, coeffs.T[:2, :, None, None])
         # each point's blocks solved as on their own
-        eigs = np.linalg.eigvalsh(blocks)
-        points = np.empty(eigs.shape + (4,), dtype=complex)
-        points[..., 0] = -eigs
-        points[..., 1:] = coeffs[:, None, None]
-        inside = membership_grid(points.reshape(-1, 4), tol)[1].reshape(eigs.shape)
-        misses += int(((~inside).sum(axis=2) * counts).sum())
+        lam = np.linalg.eigvalsh(blocks)[..., None] + coeffs[:, 2, None, None, None] * shifts
+        points = np.empty(lam.shape + (4,), dtype=complex)
+        points[..., 0] = -lam
+        points[..., 1:] = coeffs[:, None, None, None]
+        inside = membership_grid(points.reshape(-1, 4), tol)[1].reshape(lam.shape)
+        misses += int(((~inside).sum(axis=(2, 3)) * counts).sum())
     return misses
 
 

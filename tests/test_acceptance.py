@@ -7,6 +7,11 @@ test asserts one criterion and prints its pass/fail line.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,6 +83,36 @@ def test_criterion_6_solves_each_oracle_grid_once(monkeypatch):
     monkeypatch.setattr(oracle, "_gtsv", lambda: counted)
     assert criterion_6(RunConfig()).passed
     assert calls == [4 * 128] * 16
+
+
+@pytest.mark.parametrize("num", [4, 5, 6])
+def test_scipy_import_precedes_the_klein_criteria_clock(monkeypatch, num):
+    # the first Klein-block solve imports SciPy (oracle._gtsv); each criterion
+    # that solves blocks makes that call before it reads its start time
+    events = []
+    gtsv = oracle._gtsv
+    monkeypatch.setattr(oracle, "_gtsv", lambda: events.append("gtsv") or gtsv())
+    clock = acceptance.time.perf_counter
+    monkeypatch.setattr(
+        acceptance, "time", SimpleNamespace(perf_counter=lambda: events.append("clock") or clock())
+    )
+    assert CRITERIA[num](RunConfig()).passed
+    assert events[:2] == ["gtsv", "clock"]
+
+
+def test_criterion_1_alone_loads_no_scipy():
+    code = (
+        "import sys; from dinfh import acceptance; "
+        "assert acceptance.run_all(only=[1], echo=None)[0].passed; "
+        "sys.exit('scipy' in sys.modules)"
+    )
+    src = str(Path(acceptance.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_line_reports_milliseconds():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dinfh import loops, oracle
+from dinfh import loops, oracle, traces
 from dinfh.errors import (
     GridTooLarge,
     LoopHitsSpectrum,
@@ -661,7 +661,8 @@ class TestStackedKernel:
 
 
 # _klein_solve as it was before rows with z1 = z2 = 0 took 1 x 1 systems,
-# the N-row route for every row: kept verbatim as the bitwise reference
+# the N-row route for every row: kept verbatim as the bitwise reference, but
+# for the pivot guard, which raises at a NaN pivot as _stacked_solve does
 def n_row_klein_solve(Z, dZ, N):
     # each block's N - 1 off-diagonals, then the exact 0 that couples it to
     # the next; gtsv overwrites both bands, so they are two arrays
@@ -676,7 +677,7 @@ def n_row_klein_solve(Z, dZ, N):
         lower, diag.reshape(-1), upper, rhs.reshape(-1),
         overwrite_dl=True, overwrite_d=True, overwrite_du=True, overwrite_b=True,
     )
-    if info > 0 or np.abs(pivots).min() < LU_PIVOT_TOL:
+    if info > 0 or not np.abs(pivots).min() >= LU_PIVOT_TOL:
         raise SingularTruncation(f"pencil truncation at N={N} is numerically singular")
     # a copy, not a view that keeps all of x alive
     return x.reshape(diag.shape)[..., 0].copy()
@@ -813,6 +814,27 @@ class TestDiagonalRows:
                     oracle._klein_solve(z[None, :], dz[None, :], N)
                 continue
             assert bitwise_equal(oracle._klein_solve(z[None, :], dz[None, :], N), ref), z
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("z1", [0.0, 0.3], ids=["1x1", "N-row"])
+    def test_nan_sample_raises_on_both_routes(self, monkeypatch, z1):
+        # a NaN z0 in the third of four samples turned the first three NaN
+        # through the stacked system's 0 * NaN, and the NaN pivot passed
+        Z = np.array([[2.0, z1, 0.0, 0.5]] * 4, dtype=complex)
+        Z[2, 0] = np.nan
+        dZ = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1)).astype(complex)
+        sizes = []
+        gtsv = oracle._gtsv()
+
+        def counted(*arrays, **kw):
+            sizes.append(len(arrays[1]))
+            return gtsv(*arrays, **kw)
+
+        monkeypatch.setattr(oracle, "_gtsv", lambda: counted)
+        with pytest.raises(SingularTruncation):
+            oracle._klein_solve(Z, dZ, 8)
+        # one gtsv of 1 x 1 or of N x N blocks
+        assert sizes == [4 * 4 * (1 if z1 == 0.0 else 8)]
 
     @pytest.mark.parametrize("N", [1, 2, 3, 32, 256])
     def test_margins_bitwise_the_full_scan(self, rng, monkeypatch, N):
@@ -1008,6 +1030,27 @@ class TestOraclePeriods:
         bad = loops.circle_loop([1.0, 0, 0, 1.5], 0.5, ["z0"], steps=64, name="bad")
         with pytest.raises(LoopHitsSpectrum):
             oracle_period(bad, N=8)
+
+    def test_nan_margin_raises(self):
+        # margins nan and finite: min() is NaN, which no <= comparison caught
+        def guard(Z):
+            margin = np.ones(len(Z))
+            margin[len(Z) // 2] = np.nan
+            return margin
+
+        def form(Z, dZ):
+            raise AssertionError("a grid with a NaN margin is evaluated")
+
+        with pytest.raises(LoopHitsSpectrum, match="sample margin nan"):
+            oracle.trapezoid_periods(loops.loop_L1(8), guard, form, "nan guard")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_loop_raises_on_both_period_routes(self):
+        loop = loops.circle_loop([np.nan, 0, 0, 1.5], 0.5, ["z0"], steps=16, name="nan")
+        with pytest.raises(LoopHitsSpectrum, match="sample margin nan"):
+            oracle_period(loop, N=8)
+        with pytest.raises(LoopHitsSpectrum, match="sample margin nan"):
+            traces.loop_period(loop)
 
     def test_step_cap_before_the_samples(self):
         # 2^40 steps would allocate (2^40, 4) samples first

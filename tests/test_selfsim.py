@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dinfh import selfsim
-from dinfh.errors import LevelTooLarge
+from dinfh.errors import LevelTooLarge, UnpairedOrbit
 from dinfh.group import (
     GEN_A,
     GEN_T,
@@ -60,6 +60,20 @@ def reference_level_vector(action, g, n):
     return vec
 
 
+class TauAsAction(TreeAction):
+    """Level vectors in which tau acts at level n as the element tau_at(n)
+    of <a, t>, and a and t as in the automaton."""
+
+    def __init__(self, tau_at):
+        super().__init__()
+        self._tau_at = tau_at
+
+    def level_matrix(self, g, n):
+        if g == GEN_TAU:
+            return super().level_matrix(self._tau_at(n), n)
+        return super().level_matrix(g, n)
+
+
 def pencil_level_matrix(z1, z2, z3, n, action=selfsim._DEFAULT_ACTION):
     """Dense symmetric matrix z1*M(a) + z2*M(t) + z3*M(tau) at level n."""
     size = 4**n
@@ -71,10 +85,12 @@ def pencil_level_matrix(z1, z2, z3, n, action=selfsim._DEFAULT_ACTION):
 
 
 def reference_level_eigs(z1, z2, z3, n):
-    """The per-orbit loop pencil_level_eigs replaced: every orbit block is
-    built and factored, and the orbit bookkeeping is redone per call."""
-    labels = selfsim._DEFAULT_ACTION.orbit_labels(n)
+    """The route pencil_level_eigs replaced: every orbit of <a, t, tau>
+    (2^(n+1) leaves, a tau-pair of <a, t>-orbits) is built as a block with
+    the z3 entries and factored, and the orbit bookkeeping is redone per
+    call."""
     vecs = [selfsim._DEFAULT_ACTION.level_matrix(g, n) for g in (GEN_A, GEN_T, GEN_TAU)]
+    labels = selfsim.orbit_labels(vecs)
     # leaves grouped by orbit; local[i] is leaf i's index inside its block
     order = np.argsort(labels, kind="stable")
     _, start, sizes = np.unique(labels[order], return_index=True, return_counts=True)
@@ -348,15 +364,18 @@ class TestLevelMatrix:
         with pytest.raises(ValueError):
             vec[0] = 7
         assert np.array_equal(level_matrix(GEN_A, 2).perm_vector, before)
-        labels = selfsim._DEFAULT_ACTION.orbit_labels(2)
-        with pytest.raises(ValueError):
-            labels[0] = 7
-        assert selfsim._DEFAULT_ACTION.orbit_labels(2)[0] == 0
-        for rows, counts in selfsim._DEFAULT_ACTION.orbit_blocks(2):
+        for rows, counts, shifts in selfsim._DEFAULT_ACTION.orbit_blocks(2):
             with pytest.raises(ValueError):
                 rows[0, 0, 0] = 7
             with pytest.raises(ValueError):
                 counts[0] = 7
+            with pytest.raises(ValueError):
+                shifts[0] = 7
+        table = selfsim.level_vectors([GEN_A], 2)
+        table[0, 0] = 7  # a gathered copy, not the cached table
+        assert np.array_equal(selfsim.level_vectors([GEN_A], 2)[0], before)
+        with pytest.raises(ValueError):
+            selfsim._DEFAULT_ACTION._tables[2][0, 0] = 7
 
     def test_dump_format(self):
         lines = list(level_matrix(GEN_A, 1).dump_lines())
@@ -440,6 +459,23 @@ class TestLevelQuotient:
         with pytest.raises(LevelTooLarge):
             level_walk(GEN_U, MAX_LEVEL + 1)
 
+    @pytest.mark.parametrize("alt", [False, True])
+    def test_level_vectors_stack_level_matrices(self, rng, alt):
+        action = alt_tau_action() if alt else TreeAction()
+        for n in range(MAX_LEVEL + 1):
+            elements = edge_elements(n) + seeded_elements(rng, 12, 10**4)
+            stacked = action.level_vectors(elements, n)
+            assert stacked.shape == (len(elements), 4**n)
+            for g, vec in zip(elements, stacked):
+                assert np.array_equal(vec, action.level_matrix(g, n)), (g, n)
+        assert action.level_vectors([], 2).shape == (0, 16)
+        # 4 * 2^n representatives per level table
+        assert [len(action._tables[n]) for n in range(MAX_LEVEL + 1)] == [
+            4 * 2**n for n in range(MAX_LEVEL + 1)
+        ]
+        with pytest.raises(LevelTooLarge):
+            action.level_vectors([GEN_A], MAX_LEVEL + 1)
+
     def test_caches_bounded_by_the_group(self, rng):
         action = TreeAction()
         for g in seeded_elements(rng, 2000, 10**12):
@@ -461,46 +497,71 @@ class TestOrbits:
     def test_partition(self, alt):
         action = alt_tau_action() if alt else selfsim._DEFAULT_ACTION
         for n in range(1, MAX_LEVEL + 1):
-            labels = action.orbit_labels(n)
-            leaves = np.arange(4**n)
-            # each label names a leaf of its own orbit, and the smallest one
-            assert np.all(labels[labels] == labels)
-            assert np.all(labels <= leaves)
-            for g in GENS.values():
-                vec = action.level_matrix(g, n)
-                assert np.array_equal(labels[vec], labels)
-            # the orbits of <a, t, tau> are connected by the generators:
-            # from each label every leaf of its orbit is reached
-            reached = labels == leaves
-            frontier = reached.copy()
-            while frontier.any():
-                new = np.zeros_like(reached)
-                for g in GENS.values():
-                    new[action.level_matrix(g, n)[frontier]] = True
-                frontier = new & ~reached
-                reached |= new
-            assert reached.all()
-            # 2^(n-1) orbits of 2^(n+1) leaves, covering every leaf once
-            _, sizes = np.unique(labels, return_counts=True)
-            assert sizes.sum() == 4**n
-            assert len(sizes) == 2 ** (n - 1)
-            assert np.all(sizes == 2 ** (n + 1))
+            # <a, t, tau>: 2^(n-1) orbits of 2^(n+1) leaves; <a, t>: 2^n
+            # orbits of 2^n leaves, one per y-word
+            for gens, count, size in (
+                (list(GENS.values()), 2 ** (n - 1), 2 ** (n + 1)),
+                ([GEN_A, GEN_T], 2**n, 2**n),
+            ):
+                labels = selfsim.orbit_labels([action.level_matrix(g, n) for g in gens])
+                leaves = np.arange(4**n)
+                # each label names a leaf of its own orbit, and the smallest one
+                assert np.all(labels[labels] == labels)
+                assert np.all(labels <= leaves)
+                for g in gens:
+                    vec = action.level_matrix(g, n)
+                    assert np.array_equal(labels[vec], labels)
+                # the orbits are connected by the generators: from each
+                # label every leaf of its orbit is reached
+                reached = labels == leaves
+                frontier = reached.copy()
+                while frontier.any():
+                    new = np.zeros_like(reached)
+                    for g in gens:
+                        new[action.level_matrix(g, n)[frontier]] = True
+                    frontier = new & ~reached
+                    reached |= new
+                assert reached.all()
+                # count orbits of size leaves, covering every leaf once
+                _, sizes = np.unique(labels, return_counts=True)
+                assert sizes.sum() == 4**n
+                assert len(sizes) == count
+                assert np.all(sizes == size)
 
     @pytest.mark.parametrize("alt", [False, True])
-    def test_blocks_match_dense(self, rng, alt):
+    def test_blocks_match_dense(self, monkeypatch, rng, alt):
         # the automata differ only in how tau moves the order-two letters y
-        # (the first, or all of them); either way M(tau) acts on y alone with
-        # eigenvalues +-1, 2^(n-1) times each, and a, t act on x alone, so the
-        # alternative dense pencil has the same eigenvalues
-        action = alt_tau_action() if alt else selfsim._DEFAULT_ACTION
-        for z in seeded_pencils(rng, 12):
-            for n in range(1, 6):
+        # (the first, or all of them); each pairs the <a, t>-orbits (one per
+        # y-word) its own way, and its tau-halves match its own dense pencil.
+        # Both are the same representation up to a relabelling of the
+        # leaves, so the default automaton's eigenvalues match too
+        pencils = seeded_pencils(rng, 12) + [(0.0, 0.0, 1.5), (1.0, 1.0, 0.5)]
+        levels = range(0, 6)
+        default = {(z, n): pencil_level_eigs(*z, n) for z in pencils for n in levels}
+        action = alt_tau_action() if alt else TreeAction()
+        monkeypatch.setattr(selfsim, "_DEFAULT_ACTION", action)
+        for z in pencils:
+            for n in levels:
                 eigs = pencil_level_eigs(*z, n)
                 dense = np.linalg.eigvalsh(pencil_level_matrix(*z, n, action))
                 assert len(eigs) == 4**n
-                assert np.abs(eigs - dense).max() <= 1e-12 * max(
-                    1.0, np.linalg.norm(z)
-                )
+                tol = 1e-12 * max(1.0, np.linalg.norm(z))
+                assert np.abs(eigs - dense).max() <= tol
+                assert np.abs(default[z, n] - dense).max() <= tol
+
+    def test_tau_fixing_orbits_pointwise(self, monkeypatch, rng):
+        # tau acting trivially is a representation of the group too; its
+        # <a, t>-orbits are their own partners, each block shifted by +z3
+        action = TauAsAction(lambda n: IDENTITY)
+        monkeypatch.setattr(selfsim, "_DEFAULT_ACTION", action)
+        for n in range(0, 5):
+            blocks = action.orbit_blocks(n)
+            assert [shifts.tolist() for _, _, shifts in blocks] == [[1.0]]
+            assert sum(counts.sum() for _, counts, _ in blocks) == 2**n
+            for z in seeded_pencils(rng, 4):
+                eigs = pencil_level_eigs(*z, n)
+                dense = np.linalg.eigvalsh(pencil_level_matrix(*z, n, action))
+                assert np.abs(eigs - dense).max() <= 1e-12 * max(1.0, np.linalg.norm(z))
 
     def test_zero_pencil(self):
         assert np.array_equal(pencil_level_eigs(0, 0, 0, 3), np.zeros(64))
@@ -511,18 +572,37 @@ class TestOrbits:
         for n in range(0, MAX_LEVEL + 1):
             blocks = action.orbit_blocks(n)
             leaves = 0
-            for rows, counts in blocks:
+            for rows, counts, shifts in blocks:
                 p, gens, s = rows.shape
-                assert gens == 3 and len(counts) == p
+                assert gens == 2 and len(counts) == p
                 # each generator permutes the leaves of each orbit
                 assert np.all(np.sort(rows, axis=2) == np.arange(s))
                 assert len(np.unique(rows, axis=0)) == p
-                leaves += s * counts.sum()
+                assert s == 2**n
+                assert shifts.tolist() == ([1.0, -1.0] if n else [1.0])
+                leaves += s * len(shifts) * counts.sum()
             assert leaves == 4**n
-            orbits = sum(counts.sum() for _, counts in blocks)
-            assert orbits == (2 ** (n - 1) if n else 1)
+            # one kept orbit per tau-pair: 2^(n-1) pairs, the root at level 0
+            pairs = sum(counts.sum() for _, counts, _ in blocks)
+            assert pairs == (2 ** (n - 1) if n else 1)
 
-    def test_bitwise_equal_to_per_orbit_loop(self, rng):
+    @pytest.mark.parametrize("central", ["half_turn", "a"])
+    def test_unpaired_orbit_raises(self, central):
+        # a half turn u^(2^(n-1)) is a central involution at level n, but it
+        # maps each <a, t>-orbit onto itself; a acting as tau maps them onto
+        # themselves too, and from level 2 on does not commute with t
+        if central == "half_turn":
+            action = TauAsAction(lambda n: GroupElement(k=2 ** max(n - 1, 0)))
+            message = "not pointwise"
+        else:
+            action = TauAsAction(lambda n: GEN_A)
+            message = "not an involution commuting"
+        for n in range(2, 5):
+            with pytest.raises(UnpairedOrbit, match=message):
+                action.orbit_blocks(n)
+
+    def test_equal_to_orbit_route(self, rng):
+        # the tau-halves round otherwise than the 2^(n+1)-leaf orbit blocks
         points = seeded_pencils(rng, 18) + [
             (0.0, 0.0, 0.0),
             (1.5, -0.5, 0.0),
@@ -536,8 +616,8 @@ class TestOrbits:
             for z in points:
                 eigs = pencil_level_eigs(*z, n)
                 ref = reference_level_eigs(*z, n)
-                # bit patterns, so signed zeros count too
-                assert np.array_equal(eigs.view(np.uint64), ref.view(np.uint64))
+                assert len(eigs) == 4**n
+                assert np.abs(eigs - ref).max() <= 1e-12 * max(1.0, np.linalg.norm(z))
 
     def test_level_6_factors_one_block(self, monkeypatch):
         shapes = []
@@ -549,7 +629,7 @@ class TestOrbits:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         eigs = pencil_level_eigs(1, 1, 0.5, 6)
-        assert shapes == [(1, 128, 128)]
+        assert shapes == [(1, 64, 64)]
         assert len(eigs) == 4**6
 
 
