@@ -477,12 +477,10 @@ def margin_grid(points: np.ndarray, N: int) -> np.ndarray:
     above the roundoff, the computed |w| keep that order, and since rounding
     is monotone, no computed |a - |w|| outside the bracket is smaller than
     the bracket's least.  The step counts as well above the roundoff where
-    |2 z1 z2| (1 - cos 2 pi/N) > _BRACKET_ROUNDOFF eps (z1^2 + z2^2).  A
-    row with z1 = z2 = 0 has w = 0 exactly at every angle, so any angles
-    bracket its minimum.  The other rows, among them z1 z2 = 0 with z1 or
-    z2 nonzero, and every row whose c* is not finite (a NaN or inf
-    coordinate, or an overflow), get the full scan, which takes |w| once
-    for both blocks and never forms wbar.
+    |2 z1 z2| (1 - cos 2 pi/N) > _BRACKET_ROUNDOFF eps (z1^2 + z2^2).  The
+    other rows, among them z1 z2 = 0, and every row whose c* is not finite
+    (a NaN or inf coordinate, or an overflow), get the full scan, which
+    takes |w| once for both blocks and never forms wbar.
 
     A finite row with z1 = z2 = 0 is taken before the bracket: each block
     is d I, and its margin min(hypot(Re d, Im d)) over d = z0 +- z3 has
@@ -557,9 +555,6 @@ def _bracket_margins(pts: np.ndarray, up: np.ndarray, out: np.ndarray) -> np.nda
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             c = (a * a - s) / b
             ok = np.isfinite(c).all(axis=0) & (np.abs(b) * gap > _BRACKET_ROUNDOFF * _EPS * s)
-        # where z1 = z2 = 0, w is exactly 0 at every angle: any angle is a minimum
-        rest = np.flatnonzero(~ok)
-        ok[rest[(x1[rest] == 0.0) & (x2[rest] == 0.0)]] = True
         left[lo : lo + step] = ~ok
         rows = np.flatnonzero(ok)
         a, c = a[:, rows], c[:, rows]

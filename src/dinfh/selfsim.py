@@ -60,11 +60,17 @@ send each of its leaves, in the block's local numbering, and that
 pattern repeats across orbits (at levels 1-6 all 2^(n-1) pairs share
 one).  ``TreeAction.orbit_blocks`` keeps one orbit per tau-pair (the one
 with the smaller label), reduces them to their distinct patterns and
-counts once; ``pencil_level_eigs`` solves each distinct 2^n-leaf block
-once, shifts its eigenvalues by +-z3 and repeats them by its count, so
-every eigenvalue's multiplicity comes from the block counts.  Identical
-matrices have identical eigenvalues, so this is exact whatever the
-spectrum; another automaton would only give more patterns.
+counts once.  Every level-pencil caller reads one stacked orbit solve,
+``_level_eigs``: one ``eigvalsh`` solves each distinct 2^n-leaf block of
+each pencil of a stack once and shifts its eigenvalues by that pencil's
++-z3, so every multiplicity comes from the block counts.
+``pencil_level_eigs`` repeats one pencil's eigenvalues by their counts
+(``coverage_gap``, the CSV, criterion 8), and the spectrum checks read one
+closed-form check on top of the solve (``_level_check``):
+``count_violations`` weights its misses by count, and
+``validate_eigs_in_spectrum`` repeats them by count and sorts them.
+Identical matrices have identical eigenvalues, so this is exact whatever
+the spectrum; another automaton would only give more patterns.
 
 Cached level vectors, level tables and orbit blocks are read-only, so a
 caller cannot change what later calls return.
@@ -370,86 +376,84 @@ def level_vectors(elements: Sequence[GroupElement], n: int) -> np.ndarray:
     return _DEFAULT_ACTION.level_vectors(elements, n)
 
 
-def _fill_blocks(blocks: np.ndarray, rows: np.ndarray, coeffs) -> None:
-    """Add the pencil's coefficients to orbit blocks (..., p, s, s) of the
-    patterns ``rows`` (p, 2, s) from ``TreeAction.orbit_blocks``: coeffs[g]
-    at (rows[j, g, c], c) of block j for each generator g (a, t), a
-    scalar or an array broadcast against (..., p, s)."""
-    # two aranges: np.ogrid costs about 8 us more per call, five calls a tree op
-    k, cols = np.arange(rows.shape[0])[:, None], np.arange(rows.shape[2])
-    for g, coeff in enumerate(coeffs):
-        blocks[..., k, rows[:, g], cols] += coeff
+def _level_eigs(coeffs, n: int):
+    """Per layout group of level n, ``(lam, counts)``: ``lam`` (m, p, 2^n,
+    len(shifts)) holds the eigenvalues of the p distinct <a, t>-orbit blocks
+    z1*A + z2*T of the m pencils with coefficient rows ``coeffs`` (m, 3),
+    from one stacked ``eigvalsh`` (each block as if solved alone), shifted
+    by each pencil's +-z3; block j stands for ``counts[j]`` kept orbits."""
+    _check_level(n)
+    coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 3)
+    out = []
+    for rows, counts, shifts in _DEFAULT_ACTION.orbit_blocks(n):
+        p, _, s = rows.shape
+        # coeffs[:, g] at (rows[j, g, c], c) of block j for generator g (a, t)
+        blocks = np.zeros((len(coeffs), p, s, s))
+        k, cols = np.arange(p)[:, None], np.arange(s)
+        for g in range(2):
+            blocks[:, k, rows[:, g], cols] += coeffs[:, g, None, None]
+        lam = np.linalg.eigvalsh(blocks)[..., None] + coeffs[:, 2, None, None, None] * shifts
+        out.append((lam, counts))
+    return out
+
+
+def _level_check(coeffs, n: int, tol: float):
+    """``_level_eigs`` with ``membership_grid``'s margin and verdict of each
+    point (-lambda, z1, z2, z3): ``(lam, counts, margin, inside)``."""
+    coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 3)
+    out = []
+    for lam, counts in _level_eigs(coeffs, n):
+        points = np.empty(lam.shape + (4,), dtype=complex)
+        points[..., 0] = -lam
+        points[..., 1:] = coeffs[:, None, None, None]
+        margin, inside = membership_grid(points.reshape(-1, 4), tol)
+        out.append((lam, counts, margin.reshape(lam.shape), inside.reshape(lam.shape)))
+    return out
 
 
 def pencil_level_eigs(z1: float, z2: float, z3: float, n: int) -> np.ndarray:
     """Sorted eigenvalues (with multiplicity) of the level-n pencil
     z1*M(a) + z2*M(t) + z3*M(tau): each distinct <a, t>-orbit block
     z1*A + z2*T is solved once, and its eigenvalues shifted by +-z3."""
-    _check_level(n)
-    eigs = []
-    for rows, counts, shifts in _DEFAULT_ACTION.orbit_blocks(n):
-        p, _, s = rows.shape
-        blocks = np.zeros((p, s, s))
-        _fill_blocks(blocks, rows, (z1, z2))
-        lam = np.linalg.eigvalsh(blocks)[..., None] + z3 * shifts
-        eigs.append(np.repeat(lam, counts, axis=0).ravel())
+    groups = _level_eigs((z1, z2, z3), n)
+    eigs = [np.repeat(lam[0], counts, axis=0).ravel() for lam, counts in groups]
     return np.sort(np.concatenate(eigs))
 
 
-def validate_eigs_in_spectrum(
-    z1: float,
-    z2: float,
-    z3: float,
-    n: int,
-    tol: float = 1e-8,
-) -> dict:
+def validate_eigs_in_spectrum(z1: float, z2: float, z3: float, n: int, tol: float = 1e-8) -> dict:
     """Check every level-n eigenvalue against the closed-form spectrum.
 
     For each eigenvalue lambda, (-lambda, z1, z2, z3) must be a spectrum
-    point; violations are collected, and the largest membership margin
-    among all eigenvalues is reported as a quality figure.
+    point; violations are listed by ascending lambda, with multiplicity,
+    and the largest membership margin among all eigenvalues is reported as
+    a quality figure.  Each distinct block's misses are repeated by its count.
     """
-    eigs = pencil_level_eigs(z1, z2, z3, n)
-    # eigenvalues repeat (2^(n-1) times at levels 1-6): check each value once
-    distinct, where = np.unique(eigs, return_inverse=True)
-    points = np.empty((len(distinct), 4), dtype=complex)
-    points[:, 0] = -distinct
-    points[:, 1:] = (z1, z2, z3)
-    margin, inside = membership_grid(points, tol=tol)
-    margin, inside = margin[where], inside[where]
+    missed, margins, top = [], [], []
+    for lam, counts, margin, inside in _level_check((z1, z2, z3), n, tol):
+        miss = ~inside[0]
+        reps = counts[np.nonzero(miss)[0]]
+        missed.append(np.repeat(lam[0][miss], reps))
+        margins.append(np.repeat(margin[0][miss], reps))
+        top.append(margin.max())
+    missed, margins = np.concatenate(missed), np.concatenate(margins)
+    order = np.argsort(missed, kind="stable")
     violations: List[dict] = [
         {"eigenvalue": float(lam), "margin": float(m)}
-        for lam, m in zip(eigs[~inside], margin[~inside])
+        for lam, m in zip(missed[order], margins[order])
     ]
-    return {"violations": violations, "max_margin": float(margin.max())}
+    return {"violations": violations, "max_margin": float(np.max(top))}
 
 
 def count_violations(coeffs, n: int, tol: float = 1e-8) -> int:
     """Level-n eigenvalues, with multiplicity, outside the closed-form
     spectrum, summed over the pencils with coefficient rows (z1, z2, z3)
-    in ``coeffs`` (m, 3).
-
-    The count of ``validate_eigs_in_spectrum``'s violations over the m
-    pencils, from one stacked ``eigvalsh`` of the (m, p, 2^n, 2^n)
-    <a, t>-orbit blocks and one ``membership_grid`` call per layout group
-    (one at levels 1-6), on the distinct blocks' eigenvalues shifted by
-    each pencil's +-z3, each weighted by its block's count.
-    """
-    _check_level(n)
-    coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 3)
-    misses = 0
-    for rows, counts, shifts in _DEFAULT_ACTION.orbit_blocks(n):
-        p, _, s = rows.shape
-        blocks = np.zeros((len(coeffs), p, s, s))
-        _fill_blocks(blocks, rows, coeffs.T[:2, :, None, None])
-        # each point's blocks solved as on their own
-        lam = np.linalg.eigvalsh(blocks)[..., None] + coeffs[:, 2, None, None, None] * shifts
-        points = np.empty(lam.shape + (4,), dtype=complex)
-        points[..., 0] = -lam
-        points[..., 1:] = coeffs[:, None, None, None]
-        inside = membership_grid(points.reshape(-1, 4), tol)[1].reshape(lam.shape)
-        misses += int(((~inside).sum(axis=(2, 3)) * counts).sum())
-    return misses
+    in ``coeffs`` (m, 3): the count of ``validate_eigs_in_spectrum``'s
+    violations over the m pencils, each distinct block's misses weighted by
+    its count."""
+    return sum(
+        int(((~inside).sum(axis=(2, 3)) * counts).sum())
+        for _, counts, _, inside in _level_check(coeffs, n, tol)
+    )
 
 
 def spectrum_slice_intervals(z1: float, z2: float, z3: float):

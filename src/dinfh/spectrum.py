@@ -146,8 +146,8 @@ def membership_grid(points: np.ndarray, tol: float = DEFAULT_TOL):
     min |G^+-| / scale; otherwise it is the scaled distance of the roots x
     from [-1, 1].
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:  # False for NaN too
+        raise ValueError("tol must be finite and positive")
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ValueError("points must have shape (n, 4)")

@@ -270,21 +270,16 @@ class TestChunkedKleinForm:
 class TestStackedLevelEigs:
     @pytest.mark.parametrize("n", range(0, 7))
     def test_equal_pencil_level_eigs(self, rng, n):
-        # count_violations' stacked solve: every point's blocks in one eigvalsh
+        # batch independence: each row of one m-pencil solve is that pencil's
+        # own pencil_level_eigs, bit for bit
         coeffs = rng.uniform(-2, 2, (6, 3))
         coeffs[1] = (1.0, 1.0, 0.5)
         coeffs[2, 1] = 0.0
-        stacked = []
-        for rows, counts, shifts in selfsim._DEFAULT_ACTION.orbit_blocks(n):
-            p, _, s = rows.shape
-            blocks = np.zeros((len(coeffs), p, s, s))
-            selfsim._fill_blocks(blocks, rows, coeffs.T[:2, :, None, None])
-            eigs = np.linalg.eigvalsh(blocks)[..., None] + coeffs[:, 2, None, None, None] * shifts
-            stacked.append(np.repeat(eigs, counts, axis=1).reshape(len(coeffs), -1))
-        stacked = np.sort(np.concatenate(stacked, axis=1), axis=1)
-        for row, eigs in zip(coeffs, stacked):
+        groups = selfsim._level_eigs(coeffs, n)
+        for i, row in enumerate(coeffs):
+            eigs = [np.repeat(lam[i], counts, axis=0).ravel() for lam, counts in groups]
             one = selfsim.pencil_level_eigs(*row, n)
-            assert np.array_equal(eigs.view(np.uint64), one.view(np.uint64))
+            assert np.array_equal(np.sort(np.concatenate(eigs)).view(np.uint64), one.view(np.uint64))
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-15])
     @pytest.mark.parametrize("n", range(0, 7))

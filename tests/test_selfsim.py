@@ -629,7 +629,9 @@ class TestOrbits:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         eigs = pencil_level_eigs(1, 1, 0.5, 6)
-        assert shapes == [(1, 64, 64)]
+        # one 64 x 64 block, whatever the leading stack axes
+        assert len(shapes) == 1 and shapes[0][-2:] == (64, 64)
+        assert np.prod(shapes[0][:-2]) == 1
         assert len(eigs) == 4**6
 
 
@@ -700,6 +702,14 @@ class TestValidation:
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
             validate_eigs_in_spectrum(1, 1, 0.5, 2, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan])
+    def test_rejects_non_finite_tol(self, tol):
+        # with tol = NaN all 64 level-3 eigenvalues read as violations
+        with pytest.raises(ValueError, match="finite and positive"):
+            validate_eigs_in_spectrum(1, 1, 0.5, 3, tol=tol)
+        with pytest.raises(ValueError, match="finite and positive"):
+            selfsim.count_violations([(1, 1, 0.5)], 3, tol=tol)
 
     def test_degenerate_branch(self):
         out = validate_eigs_in_spectrum(1, 0, 0, 2)

@@ -139,6 +139,16 @@ class TestMembership:
         with pytest.raises(ValueError):
             membership(P, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_tol(self, tol):
+        # with tol = inf the far resolvent point (100, 1, 1, 0) read as in
+        # the spectrum, and with NaN every point read as outside
+        far = np.array([[100, 1, 1, 0]], dtype=complex)
+        with pytest.raises(ValueError, match="finite and positive"):
+            membership(far[0], tol=tol)
+        with pytest.raises(ValueError, match="finite and positive"):
+            membership_grid(far, tol=tol)
+
     @given(real_points, st.sampled_from([2.0, -1.0, 0.5j, 1 + 2j, -3.0j]))
     def test_projective_homogeneity(self, z, c):
         res = membership(z)
