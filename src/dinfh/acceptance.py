@@ -1,9 +1,12 @@
 """The verification suite: nine numbered criteria with pinned tolerances.
 
-Each criterion is a function returning a :class:`CriterionResult`; the CLI
-``verify`` subcommand and the test suite both drive :func:`run_all`.  All
-randomness is seeded from the run configuration and wall-clock times stay out
-of ``details``, so repeated runs produce identical artifacts.
+Each criterion body returns ``(passed, details)`` and is registered by
+:func:`_criterion`, the one place that times it, holds its runtime budget,
+makes SciPy's first import before the clock of the criteria that solve Klein
+blocks, builds its :class:`CriterionResult` and lists it in ``CRITERIA``.
+The CLI ``verify`` subcommand and the test suite both drive :func:`run_all`.
+All randomness is seeded from the run configuration and wall-clock times
+stay out of ``details``, so repeated runs produce identical artifacts.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from functools import wraps
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +33,8 @@ class CriterionResult:
     ``details`` is deterministic for a given configuration and goes into
     the artifact; wall-clock time (``seconds``, and criterion 9's level-5
     eigensolve) is run telemetry, checked against the runtime budgets in
-    ``passed`` but never written to the artifact.
+    ``passed`` but never written to the artifact.  A budget given to
+    :func:`_criterion` is recorded as ``details["runtime_budget_s"]``.
     """
 
     number: int
@@ -47,9 +52,37 @@ def _rng(config: RunConfig, criterion: int) -> np.random.Generator:
     return np.random.default_rng([config.seed, criterion])
 
 
-def criterion_1(config: RunConfig) -> CriterionResult:
+CRITERIA: Dict[int, Callable[[RunConfig], CriterionResult]] = {}
+
+
+def _criterion(number: int, name: str, budget_s: float | None = None, klein: bool = False):
+    """Register a body ``config -> (passed, details)`` as criterion ``number``,
+    the same function as ``CRITERIA[number]``: SciPy's first import before
+    the clock if ``klein``, then the timed body, failed past ``budget_s``
+    with that budget recorded in ``details``."""
+
+    def register(body: Callable[[RunConfig], Tuple[bool, dict]]):
+        @wraps(body)
+        def run(config: RunConfig) -> CriterionResult:
+            if klein:
+                oracle._gtsv()  # SciPy's first import, outside the timed part
+            t0 = time.perf_counter()
+            passed, details = body(config)
+            seconds = time.perf_counter() - t0
+            if budget_s is not None:
+                details["runtime_budget_s"] = budget_s
+                passed = passed and seconds < budget_s
+            return CriterionResult(number, name, passed, seconds, details)
+
+        CRITERIA[number] = run
+        return run
+
+    return register
+
+
+@_criterion(1, "spectrum formula vs oracle on 10k points", budget_s=120.0)
+def criterion_1(config: RunConfig):
     """Closed-form membership agrees with the oracle on 10k random points."""
-    t0 = time.perf_counter()
     rng = _rng(config, 1)
     pts = rng.uniform(-2.0, 2.0, size=(10_000, 4))
     cf_margin, cf_in = membership_grid(pts.astype(complex))
@@ -57,44 +90,29 @@ def criterion_1(config: RunConfig) -> CriterionResult:
     or_in = or_margin < 1e-3
     mismatch = cf_in != or_in
     outside_band = mismatch & (cf_margin >= 5e-3)
-    seconds = time.perf_counter() - t0
-    passed = int(outside_band.sum()) == 0 and seconds < 120.0
-    return CriterionResult(
-        1,
-        "spectrum formula vs oracle on 10k points",
-        passed,
-        seconds,
-        {
-            "points": len(pts),
-            "mismatches": int(mismatch.sum()),
-            "mismatches_outside_band": int(outside_band.sum()),
-            "mismatch_fraction": float(mismatch.mean()),
-            "runtime_budget_s": 120.0,
-        },
-    )
+    return int(outside_band.sum()) == 0, {
+        "points": len(pts),
+        "mismatches": int(mismatch.sum()),
+        "mismatches_outside_band": int(outside_band.sum()),
+        "mismatch_fraction": float(mismatch.mean()),
+    }
 
 
-def criterion_2(config: RunConfig) -> CriterionResult:
+@_criterion(2, "resolvent point p")
+def criterion_2(config: RunConfig):
     """p = (1, 8, 4, 2) is a resolvent point with a stable oracle margin."""
-    t0 = time.perf_counter()
     res = membership(P_POINT)
     m256 = oracle.membership_margin(P_POINT, 256)
     m512 = oracle.membership_margin(P_POINT, 512)
     drift = abs(m512 - m256) / m256
     passed = (not res.in_spectrum) and m256 >= 0.5 and drift <= 0.01
-    return CriterionResult(
-        2,
-        "resolvent point p",
-        passed,
-        time.perf_counter() - t0,
-        {
-            "in_spectrum": res.in_spectrum,
-            "closed_form_margin": res.margin,
-            "oracle_margin_N256": m256,
-            "oracle_margin_N512": m512,
-            "relative_drift": drift,
-        },
-    )
+    return passed, {
+        "in_spectrum": res.in_spectrum,
+        "closed_form_margin": res.margin,
+        "oracle_margin_N256": m256,
+        "oracle_margin_N512": m512,
+        "relative_drift": drift,
+    }
 
 
 def _random_resolvent_points(
@@ -109,29 +127,21 @@ def _random_resolvent_points(
     return np.asarray(pts[:count])
 
 
-def criterion_3(config: RunConfig) -> CriterionResult:
+@_criterion(3, "exactness of the canonical-trace 1-form")
+def criterion_3(config: RunConfig):
     """Exactness: the potential gradient equals the trace coefficients."""
-    t0 = time.perf_counter()
     rng = _rng(config, 3)
     points = np.concatenate([[P_POINT], _random_resolvent_points(rng, 20, 3.0, 0.1)])
     # all 21 points in one stacked pass each
     grad = traces.potential_gradient(points)
     coeff = traces.trace_coefficients(points, FunctionalKind.CANONICAL_TRACE)
     worst = float(np.abs(grad - coeff).max())
-    passed = worst <= 1e-6
-    return CriterionResult(
-        3,
-        "exactness of the canonical-trace 1-form",
-        passed,
-        time.perf_counter() - t0,
-        {"points": len(points), "worst_abs_error": worst, "tolerance": 1e-6},
-    )
+    return worst <= 1e-6, {"points": len(points), "worst_abs_error": worst, "tolerance": 1e-6}
 
 
-def criterion_4(config: RunConfig) -> CriterionResult:
+@_criterion(4, "trace values at p", klein=True)
+def criterion_4(config: RunConfig):
     """Trace values at p match the independent closed forms both ways."""
-    oracle._gtsv()  # SciPy's first import, outside the timed part
-    t0 = time.perf_counter()
     tr_e_exact = 0.5 / math.sqrt(2145.0) - 1.5 / math.sqrt(945.0)
     phi_a_exact = -(1.0 / 16.0 + 49.0 / (16.0 * math.sqrt(2145.0)))
     quad_tr_e = traces.trace_quadrature(traces.TraceRequest(P_POINT, "tr", "e"))
@@ -145,24 +155,16 @@ def criterion_4(config: RunConfig) -> CriterionResult:
         "quad_phitr_a": abs(quad_phi_a - phi_a_exact),
         "oracle_phitr_a": abs(oracle_phi_a - phi_a_exact),
     }
-    passed = all(v <= 1e-8 for v in errs.values())
-    return CriterionResult(
-        4,
-        "trace values at p",
-        passed,
-        time.perf_counter() - t0,
-        {
-            "tr_e_exact": tr_e_exact,
-            "phitr_a_exact": phi_a_exact,
-            "errors": {k: float(v) for k, v in errs.items()},
-        },
-    )
+    return all(v <= 1e-8 for v in errs.values()), {
+        "tr_e_exact": tr_e_exact,
+        "phitr_a_exact": phi_a_exact,
+        "errors": {k: float(v) for k, v in errs.items()},
+    }
 
 
-def criterion_5(config: RunConfig) -> CriterionResult:
+@_criterion(5, "erratum adjudication", klein=True)
+def criterion_5(config: RunConfig):
     """Erratum adjudication: oracle refutes the tabulated tau/e entries."""
-    oracle._gtsv()  # SciPy's first import, outside the timed part
-    t0 = time.perf_counter()
     report = erratum.erratum_report(config, include_periods=False)
     tau = report["tau_trace"]
     mp = report["mixed_partials"]
@@ -184,20 +186,12 @@ def criterion_5(config: RunConfig) -> CriterionResult:
             "pointwise_inequality_reproducible"
         ],
     }
-    passed = all(checks.values())
-    return CriterionResult(
-        5,
-        "erratum adjudication",
-        passed,
-        time.perf_counter() - t0,
-        {"checks": checks, "report": report},
-    )
+    return all(checks.values()), {"checks": checks, "report": report}
 
 
-def criterion_6(config: RunConfig) -> CriterionResult:
+@_criterion(6, "rank-2 period matrix on L1, L2", budget_s=60.0, klein=True)
+def criterion_6(config: RunConfig):
     """Two independent cohomology classes via the L1/L2 period matrix."""
-    oracle._gtsv()  # SciPy's first import, outside the timed part
-    t0 = time.perf_counter()
     expected = [[2, 2], [-2, 0]]
     analytic = traces.class_independence([loops.loop_L1(), loops.loop_L2()])
     oracle_entries = {}
@@ -211,50 +205,34 @@ def criterion_6(config: RunConfig) -> CriterionResult:
                 "residual": float(rep.residual),
             }
             oracle_ok &= rep.nearest_multiple == expected[row][col] and rep.residual <= 1e-6
-    seconds = time.perf_counter() - t0
     passed = (
         analytic["integer_matrix"] == expected
         and analytic["rank"] == 2
         and float(analytic["residuals"].max()) <= 1e-6
         and oracle_ok
-        and seconds < 60.0
     )
-    return CriterionResult(
-        6,
-        "rank-2 period matrix on L1, L2",
-        passed,
-        seconds,
-        {
-            "integer_matrix": analytic["integer_matrix"],
-            "rank": analytic["rank"],
-            "max_analytic_residual": float(analytic["residuals"].max()),
-            "oracle_periods": oracle_entries,
-            "runtime_budget_s": 60.0,
-        },
-    )
+    return passed, {
+        "integer_matrix": analytic["integer_matrix"],
+        "rank": analytic["rank"],
+        "max_analytic_residual": float(analytic["residuals"].max()),
+        "oracle_periods": oracle_entries,
+    }
 
 
-def criterion_7(config: RunConfig) -> CriterionResult:
+@_criterion(7, "period quantization on random loops")
+def criterion_7(config: RunConfig):
     """Period quantization on 10 random loops in the z1 = z2 = 0 plane."""
-    t0 = time.perf_counter()
     loop_set = loops.random_axis_loops(config.seed, 10)
     worst_tr = worst_phi = 0.0
     for loop in loop_set:
         reps = traces.loop_period(loop)
         worst_tr = max(worst_tr, reps[FunctionalKind.CANONICAL_TRACE].residual)
         worst_phi = max(worst_phi, reps[FunctionalKind.PHI_TENSOR_TRACE].residual)
-    passed = worst_tr <= 1e-6 and worst_phi <= 1e-6
-    return CriterionResult(
-        7,
-        "period quantization on random loops",
-        passed,
-        time.perf_counter() - t0,
-        {
-            "loops": len(loop_set),
-            "worst_tr_residual": worst_tr,
-            "worst_phitr_residual": worst_phi,
-        },
-    )
+    return worst_tr <= 1e-6 and worst_phi <= 1e-6, {
+        "loops": len(loop_set),
+        "worst_tr_residual": worst_tr,
+        "worst_phitr_residual": worst_phi,
+    }
 
 
 def _random_words(rng: np.random.Generator, count: int):
@@ -265,9 +243,9 @@ def _random_words(rng: np.random.Generator, count: int):
     ]
 
 
-def criterion_8(config: RunConfig) -> CriterionResult:
+@_criterion(8, "self-similar action invariants")
+def criterion_8(config: RunConfig):
     """Self-similar action invariants on seeded random words."""
-    t0 = time.perf_counter()
     rng = _rng(config, 8)
     words = _random_words(rng, 200)
     failures: List[str] = []
@@ -326,19 +304,12 @@ def criterion_8(config: RunConfig) -> CriterionResult:
                 break
             prev = cur
 
-    passed = not failures
-    return CriterionResult(
-        8,
-        "self-similar action invariants",
-        passed,
-        time.perf_counter() - t0,
-        {"words": len(words), "failures": failures},
-    )
+    return not failures, {"words": len(words), "failures": failures}
 
 
-def criterion_9(config: RunConfig) -> CriterionResult:
+@_criterion(9, "weak-equivalence witness")
+def criterion_9(config: RunConfig):
     """Weak-equivalence witness: eigenvalue containment and coverage."""
-    t0 = time.perf_counter()
     rng = _rng(config, 9)
     # 50 points (z1, z2, z3), each level's eigenvalues of all 50 at once
     coeffs = rng.uniform(-2, 2, (50, 3))
@@ -348,29 +319,8 @@ def criterion_9(config: RunConfig) -> CriterionResult:
     t_eig = time.perf_counter()
     selfsim.pencil_level_eigs(1.0, 1.0, 0.5, 5)
     eig_seconds = time.perf_counter() - t_eig
-    passed = (
-        violations == 0 and decreasing and gaps[-1] < 0.5 and eig_seconds < 30.0
-    )
-    return CriterionResult(
-        9,
-        "weak-equivalence witness",
-        passed,
-        time.perf_counter() - t0,
-        {"violations": violations, "coverage_gaps": [float(g) for g in gaps]},
-    )
-
-
-CRITERIA: Dict[int, Callable[[RunConfig], CriterionResult]] = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-}
+    passed = violations == 0 and decreasing and gaps[-1] < 0.5 and eig_seconds < 30.0
+    return passed, {"violations": violations, "coverage_gaps": [float(g) for g in gaps]}
 
 
 def run_all(
@@ -379,13 +329,17 @@ def run_all(
     echo: Callable[[str], None] | None = print,
 ) -> List[CriterionResult]:
     """Run the criteria numbered in ``only`` (all by default), each once and
-    in ascending order, echoing each one's line."""
+    in ascending order, echoing each one's line.  An empty or unknown
+    selection is a ``ValueError`` before any criterion runs."""
     config = config or RunConfig()
-    numbers = sorted(set(only)) if only else sorted(CRITERIA)
+    numbers = sorted(CRITERIA) if only is None else sorted(set(only))
+    if not numbers:
+        raise ValueError("no criterion selected")
+    unknown = [num for num in numbers if num not in CRITERIA]
+    if unknown:
+        raise ValueError(f"no criterion {', '.join(map(str, unknown))}")
     results = []
     for num in numbers:
-        if num not in CRITERIA:
-            raise ValueError(f"no criterion {num}")
         result = CRITERIA[num](config)
         results.append(result)
         if echo:

@@ -359,7 +359,9 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    only = [int(x) for x in args.only.split(",")] if args.only else None
+    only = None
+    if args.only is not None:  # "" selects nothing, which run_all refuses
+        only = [int(x) for x in args.only.split(",")] if args.only else []
     config = RunConfig(seed=args.seed)
     results = acceptance.run_all(config, only=only)
     payload = {

@@ -162,22 +162,6 @@ class AlgebraElement:
                     data[g] = data.get(g, 0) + c
         self.coeffs = {g: c for g, c in data.items() if abs(c) >= PRUNE_TOL}
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        data = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            data[g] = data.get(g, 0) + c
-        return AlgebraElement(data)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (other * -1)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return algebra_mul(self, other)
-        return AlgebraElement({g: c * complex(other) for g, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented

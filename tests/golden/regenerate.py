@@ -6,7 +6,10 @@ Run from the repository root:
 
 It writes, next to this script:
 
-- ``verify.json``: ``dinfh verify --out`` at the default seed;
+- ``verify.json``: ``dinfh verify --out`` at the default seed, and
+  ``verify-seed{1,2,3}.json`` the same at ``--seed`` 1, 2 and 3;
+- ``erratum-report.json``: ``dinfh erratum-report --out`` at the default
+  seed, periods included;
 - ``tree-spectrum-6.csv``: ``dinfh tree-spectrum --z1 1 --z2 1 --z3 0.5
   --level 6``;
 - ``level-checks.json``: ``selfsim.validate_eigs_in_spectrum`` of each of
@@ -26,6 +29,7 @@ import importlib.metadata
 import json
 import platform
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +41,7 @@ PENCILS = 12
 LEVEL_CHECK_SEED = 26
 TOLS = (1e-8, 1e-15)
 COVERAGE_LEVELS = range(2, selfsim.MAX_LEVEL + 1)
+VERIFY_SEEDS = (1, 2, 3)
 
 
 def fingerprint() -> dict:
@@ -63,8 +68,12 @@ def _cli_text(*argv: str) -> str:
         return out.read_text()
 
 
-def build_verify() -> str:
-    return _cli_text("verify")
+def build_verify(seed: int | None = None) -> str:
+    return _cli_text(*(() if seed is None else ("--seed", str(seed))), "verify")
+
+
+def build_erratum_report() -> str:
+    return _cli_text("erratum-report")
 
 
 def build_tree_spectrum() -> str:
@@ -108,6 +117,8 @@ def _json_text(payload: dict) -> str:
 # file name -> builder of its text
 ARTIFACTS = {
     "verify.json": build_verify,
+    **{f"verify-seed{seed}.json": partial(build_verify, seed) for seed in VERIFY_SEEDS},
+    "erratum-report.json": build_erratum_report,
     "tree-spectrum-6.csv": build_tree_spectrum,
     "level-checks.json": lambda: _json_text(build_level_checks()),
 }

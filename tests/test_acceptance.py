@@ -7,6 +7,7 @@ test asserts one criterion and prints its pass/fail line.
 """
 
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -46,6 +47,34 @@ def test_criterion(results, number):
     result = results[number]
     print(result.line())
     assert result.passed, f"criterion {number} failed: {result.details}"
+
+
+def test_criteria_are_registered_once_by_number():
+    assert sorted(CRITERIA) == list(range(1, 10))
+    for number, criterion in CRITERIA.items():
+        assert getattr(acceptance, f"criterion_{number}") is criterion
+
+
+@pytest.mark.parametrize("num, budget", [(1, 120.0), (6, 60.0), (2, None)])
+def test_runtime_budget_fails_a_slow_criterion(monkeypatch, num, budget):
+    # each clock read is 1000 s after the one before, past both budgets
+    ticks = itertools.count(0.0, 1000.0)
+    monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    result = CRITERIA[num](RunConfig())
+    assert result.seconds == 1000.0
+    assert result.passed is (budget is None)
+    assert result.details.get("runtime_budget_s") == budget
+
+
+@pytest.mark.parametrize(
+    "only, message",
+    [([], "no criterion selected"), ([2, 10], "no criterion 10"), ([11, 2, 0], "no criterion 0, 11")],
+)
+def test_run_all_checks_the_whole_selection_first(only, message):
+    lines = []
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_all(RunConfig(), only=only, echo=lines.append)
+    assert lines == []
 
 
 def test_criterion_1_specifics(results):

@@ -235,6 +235,14 @@ class TestVerifyCommand:
             assert len(out.splitlines()) == 1
         assert twice.read_bytes() == once.read_bytes()
 
+    @pytest.mark.parametrize("only, message", [("2,10", "no criterion 10"), ("", "no criterion selected")])
+    def test_bad_selection_runs_nothing(self, capsys, only, message):
+        # the whole selection is checked before criterion 2 could print PASS
+        code, out, err = run_cli(capsys, "verify", "--only", only)
+        assert code == 1
+        assert out == ""
+        assert err == f"dinfh: error: {message}\n"
+
 
 class TestErratumCommand:
     def test_report_content(self, capsys):
